@@ -88,12 +88,6 @@ let default_config =
     lease_hold_ns = 0;
     code_cache_capacity = Site.default_lifecycle.Site.lc_code_cache }
 
-type wrapper = {
-  site : Site.t;
-  node : Node.t;
-  mutable pump_scheduled : bool;
-}
-
 (* Per-(src, dst) transmit coalescing: packets headed for the same
    node wait here until a flush — by packet-count threshold, byte
    threshold, or deadline — turns them into one [Fbatch] frame. *)
@@ -143,16 +137,13 @@ type t = {
   replicas : Nameservice.t array;  (* one in Centralized mode *)
   ns_ip : int;
   node_arr : Node.t array;
-  by_name : (string, wrapper) Hashtbl.t;
-  by_id : (int, wrapper) Hashtbl.t;
-  mutable wrappers : wrapper list; (* reversed creation order *)
+  (* site table, pump scheduler, demux and name service *)
+  fab : Fabric.t;
+  by_name : (string, Fabric.wrapper) Hashtbl.t;
   mutable next_site_id : int;
-  mutable outs : (int * Output.event) list; (* newest first *)
   mutable packets : int;
   mutable bytes : int;
   mutable in_flight : int;
-  mutable suspected : (int * string) list;
-  mutable busy_until : int;  (* completion time of the latest quantum *)
   (* send-time packet log: a bounded ring (oldest dropped past
      [packet_log_capacity] — the unbounded list it replaces grew with
      every packet of a long run) *)
@@ -166,7 +157,6 @@ type t = {
   m_packets : Metrics.counter;
   m_bytes : Metrics.counter;
   m_same_node : Metrics.counter;
-  m_deliveries : Metrics.counter;
   m_wire_ns : Metrics.histogram;
   (* Same-node delivery latency (shared memory, zero payload bytes):
      constant for the whole run, precomputed so the same-node fast path
@@ -192,7 +182,6 @@ type t = {
   c_dupes_suppressed : Stats.Counter.t;
   c_timeouts : Stats.Counter.t;
   c_acks : Stats.Counter.t;
-  c_dead_letters : Stats.Counter.t;
   c_same_node : Stats.Counter.t;
   c_frames : Stats.Counter.t;
   c_acks_piggybacked : Stats.Counter.t;
@@ -202,104 +191,20 @@ type t = {
   d_flush_wait : Stats.Dist.t;
 }
 
-(* Cost of a name-service transaction at the service itself. *)
-let ns_processing_cost = 1_000
-
-(* Scheduling overhead added after each quantum (context switch). *)
-let context_switch_cost = 200
-
-let create ?(config = default_config) () =
-  let sim =
-    Simnet.create ~topology:config.topology ~faults:config.faults
-      ~seed:config.seed ()
-  in
-  let stats = Stats.create () in
-  let tracer =
-    Trace.create ~capacity:config.trace_capacity ~enabled:config.tracing ()
-  in
-  Trace.register_track tracer ~id:Trace.fabric_track ~name:"fabric" ();
-  let mx = if config.metrics then Metrics.create ~enabled:true () else Metrics.disabled in
-  { cfg = config;
-    sim;
-    replicas =
-      (match config.ns_mode with
-      | Centralized -> [| Nameservice.create () |]
-      | Replicated ->
-          (* replica [r] is hosted by node ip [r]; fewer replicas than
-             nodes is allowed — nodes without one consult ip mod r *)
-          let n =
-            if config.ns_replicas <= 0 then config.nodes
-            else min config.nodes config.ns_replicas
-          in
-          Array.init n (fun _ -> Nameservice.create ()));
-    (* in centralized mode the service lives on node 0's address, as a
-       well-known location every site knows in advance (paper §5) *)
-    ns_ip = 0;
-    node_arr =
-      Array.init config.nodes (fun i ->
-          Node.create ~node_id:i ~ip:i ~cores:config.cores_per_node);
-    by_name = Hashtbl.create 16;
-    by_id = Hashtbl.create 16;
-    wrappers = [];
-    next_site_id = 0;
-    outs = [];
-    packets = 0;
-    bytes = 0;
-    in_flight = 0;
-    suspected = [];
-    busy_until = 0;
-    plog = Dq.create ();
-    plog_dropped = 0;
-    tracer;
-    tr_on = Trace.enabled tracer;
-    mx;
-    m_packets = Metrics.counter mx "packets";
-    m_bytes = Metrics.counter mx "bytes";
-    m_same_node = Metrics.counter mx "same_node_fast";
-    m_deliveries = Metrics.counter mx "deliveries";
-    m_wire_ns = Metrics.histogram mx "wire_ns";
-    loopback_delay = Simnet.packet_delay sim ~src_ip:0 ~dst_ip:0 ~bytes:0;
-    outboxes = Hashtbl.create 16;
-    pending_batches = Hashtbl.create 16;
-    ack_states = Hashtbl.create 16;
-    stats;
-    c_drops = Stats.counter stats "drops";
-    c_dupes = Stats.counter stats "dupes";
-    c_reorders = Stats.counter stats "reorders";
-    c_retries = Stats.counter stats "retries";
-    c_dupes_suppressed = Stats.counter stats "dupes_suppressed";
-    c_timeouts = Stats.counter stats "timeouts";
-    c_acks = Stats.counter stats "acks";
-    c_dead_letters = Stats.counter stats "dead_letters";
-    c_same_node = Stats.counter stats "same_node_fast";
-    c_frames = Stats.counter stats "frames";
-    c_acks_piggybacked = Stats.counter stats "acks_piggybacked";
-    d_lat_wire = Stats.dist stats "lat_wire";
-    d_lat_retransmit = Stats.dist stats "lat_retransmit";
-    d_batch_fill = Stats.dist stats "batch_fill";
-    d_flush_wait = Stats.dist stats "lat_flush_wait";
-  }
-
 let sim t = t.sim
 let config t = t.cfg
-let virtual_time t = max (Simnet.now t.sim) t.busy_until
-let site t name = (Hashtbl.find t.by_name name).site
-let sites t = List.rev_map (fun w -> w.site) t.wrappers
+let virtual_time t = max (Simnet.now t.sim) (Fabric.busy_until t.fab)
+let site t name = (Hashtbl.find t.by_name name).Fabric.site
+let sites t = Fabric.sites t.fab
 let nodes t = Array.to_list t.node_arr
-let outputs t = List.rev t.outs
-let output_events t = List.rev_map snd t.outs
+let outputs t = Fabric.outputs t.fab
+let output_events t = List.map snd (outputs t)
 let packets_sent t = t.packets
 let bytes_sent t = t.bytes
 let in_flight t = t.in_flight
 let name_service_pending t =
   Array.fold_left (fun acc ns -> acc + Nameservice.pending ns) 0 t.replicas
-
-(* The replica a node consults: its own in Replicated mode. *)
-let replica_of t ip =
-  match t.cfg.ns_mode with
-  | Centralized -> t.replicas.(0)
-  | Replicated -> t.replicas.(ip mod Array.length t.replicas)
-let suspected_failures t = List.rev t.suspected
+let suspected_failures t = Fabric.suspected t.fab
 
 let log_packet t p =
   (* capacity 0 disables the log: no ring churn and no virtual-clock
@@ -321,7 +226,7 @@ let packet_trace_dropped t = t.plog_dropped
 let tracer t = t.tracer
 let metrics t = t.mx
 let stats t = t.stats
-let dead_letters t = Stats.Counter.value t.c_dead_letters
+let dead_letters t = Fabric.dead_letters t.fab
 let same_node_fast t = Stats.Counter.value t.c_same_node
 let frames_sent t = Stats.Counter.value t.c_frames
 let acks_piggybacked t = Stats.Counter.value t.c_acks_piggybacked
@@ -374,37 +279,11 @@ type xmit = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Scheduling.                                                         *)
-
-let rec request_pump t w ~delay =
-  if (not w.pump_scheduled) && Site.alive w.site then begin
-    w.pump_scheduled <- true;
-    Simnet.schedule t.sim ~delay (fun () -> pump_event t w)
-  end
-
-and pump_event t w =
-  w.pump_scheduled <- false;
-  if Site.alive w.site then begin
-    let now = Simnet.now t.sim in
-    let core, free = Node.earliest_core w.node in
-    if free > now then
-      (* all processors busy: wait for one (Fig. 1's dual-CPU nodes) *)
-      request_pump t w ~delay:(free - now)
-    else begin
-      let cost = Site.pump ~now w.site ~quantum:t.cfg.quantum in
-      let duration = cost + context_switch_cost in
-      Node.occupy w.node ~core ~until:(now + duration);
-      t.busy_until <- max t.busy_until (now + duration);
-      if Site.busy w.site then request_pump t w ~delay:duration
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Packet transport (the TyCOd role).                                  *)
+(* Packet transport (the TyCOd role; dispatch itself is [Fabric]).     *)
 
 (* One physical transmission over the fabric: rolls the fault dice and
    schedules [action] once per surviving copy. *)
-and transmit t ~src_ip ~dst_ip ~bytes action =
+let rec transmit t ~src_ip ~dst_ip ~bytes action =
   let base = Simnet.packet_delay t.sim ~src_ip ~dst_ip ~bytes in
   Stats.Dist.add_int t.d_lat_wire base;
   Metrics.observe_int t.m_wire_ns base;
@@ -473,7 +352,7 @@ and send_packet t ~src_ip ?(ctx = Trace.null_span) (p : Packet.t) =
       Stats.Counter.incr t.c_frames;
       log_packet t p;
       transmit t ~src_ip ~dst_ip ~bytes (fun () ->
-          deliver t ~at_ip:dst_ip ~ctx p)
+          deliver t ~at_ip:dst_ip ~ctx ~same_node:false p)
     end
   end
 
@@ -591,7 +470,7 @@ and flush_outbox t ob =
               ~track:Trace.fabric_track ~span
               (Trace.Deliver { pk = Trace.Kbatch; same_node = false });
           for i = 0 to count - 1 do
-            deliver t ~at_ip:dst_ip ~ctx:ctxs.(i) pkts.(i)
+            deliver t ~at_ip:dst_ip ~ctx:ctxs.(i) ~same_node:false pkts.(i)
           done)
     end
   end
@@ -668,19 +547,9 @@ and attempt_batch t (bx : bxmit) =
           if t.tr_on then
             Trace.emit t.tracer ~ts:(Simnet.now t.sim)
               ~track:Trace.fabric_track ~span:bx.bx_span Trace.Timeout;
-          t.suspected <-
-            (Simnet.now t.sim, Printf.sprintf "ip#%d" bx.bx_dst_ip)
-            :: t.suspected;
+          Fabric.suspect t.fab (Printf.sprintf "ip#%d" bx.bx_dst_ip);
           for i = bx.bx_lo to Array.length bx.bx_pkts - 1 do
-            t.outs <-
-              ( Simnet.now t.sim,
-                { Output.site = "daemon";
-                  label = "undeliverable";
-                  args =
-                    [ Output.Ostr
-                        (Format.asprintf "%a" Packet.pp bx.bx_pkts.(i)) ]
-                } )
-              :: t.outs
+            undeliverable t bx.bx_pkts.(i)
           done
         end
         else begin
@@ -700,7 +569,7 @@ and receive_batch t ~src_ip ~dst_ip ~base_seq ~ack_floor ~span ~pkts ~ctxs
   let dst = node_of_ip t dst_ip in
   for i = lo to Array.length pkts - 1 do
     if Node.admit dst ~src_ip ~seq:(base_seq + i - lo) then
-      deliver t ~at_ip:dst_ip ~ctx:ctxs.(i) pkts.(i)
+      deliver t ~at_ip:dst_ip ~ctx:ctxs.(i) ~same_node:false pkts.(i)
     else Stats.Counter.incr t.c_dupes_suppressed
   done;
   (* always (re)arm the delayed ack — even a frame of pure duplicates
@@ -818,17 +687,8 @@ and attempt_xmit t (x : xmit) =
           if t.tr_on then
             Trace.emit t.tracer ~ts:(Simnet.now t.sim)
               ~track:Trace.fabric_track ~span:x.x_span Trace.Timeout;
-          t.suspected <-
-            (Simnet.now t.sim, Printf.sprintf "ip#%d" x.x_dst_ip)
-            :: t.suspected;
-          t.outs <-
-            ( Simnet.now t.sim,
-              { Output.site = "daemon";
-                label = "undeliverable";
-                args =
-                  [ Output.Ostr (Format.asprintf "%a" Packet.pp x.x_packet) ]
-              } )
-            :: t.outs
+          Fabric.suspect t.fab (Printf.sprintf "ip#%d" x.x_dst_ip);
+          undeliverable t x.x_packet
         end
         else begin
           (* the whole wait was retransmission overhead: the packet sat
@@ -843,7 +703,7 @@ and receive_frame t (x : xmit) =
      acknowledges — whether or not the addressed site is still alive:
      dead-peer detection is the request-deadline layer's concern *)
   if Node.admit (node_of_ip t x.x_dst_ip) ~src_ip:x.x_src_ip ~seq:x.x_seq then
-    deliver t ~at_ip:x.x_dst_ip ~ctx:x.x_span x.x_packet
+    deliver t ~at_ip:x.x_dst_ip ~ctx:x.x_span ~same_node:false x.x_packet
   else Stats.Counter.incr t.c_dupes_suppressed;
   send_ack t x
 
@@ -858,116 +718,132 @@ and send_ack t (x : xmit) =
           ~span:x.x_span Trace.Ack;
       x.x_acked <- true)
 
-and deliver t ~at_ip ?(ctx = Trace.null_span) ?(same_node = false) (p : Packet.t) =
+(* A packet given up on after the last retransmission surfaces as an
+   output event of the daemon. *)
+and undeliverable t p =
+  Fabric.output t.fab
+    { Output.site = "daemon";
+      label = "undeliverable";
+      args = [ Output.Ostr (Format.asprintf "%a" Packet.pp p) ] }
+
+and deliver t ~at_ip ~ctx ~same_node (p : Packet.t) =
+  Fabric.deliver t.fab ~at_ip ~ctx ~same_node p;
   match p with
-  | Packet.Pns_register { site_name; id_name; nref; rtti } ->
-      if t.tr_on then
-        Trace.emit t.tracer ~ts:(Simnet.now t.sim) ~track:Trace.fabric_track
-          ~span:ctx Trace.Ns_serve;
-      register_at t ~replica_ip:at_ip ~site_name ~id_name ~rtti ~ctx nref;
-      (* replicated mode: propagate to every other replica *)
-      if t.cfg.ns_mode = Replicated then begin
-        let nrep = Array.length t.replicas in
-        let home = at_ip mod nrep in
-        let bytes = Packet.byte_size p in
-        Array.iteri
-          (fun other _ ->
-            if other <> home then begin
-              (* replica [other] is hosted by node ip [other]; each copy
-                 is a packet in its own right — logged and counted like
-                 any other, so the packet accounting invariant
-                 (packets + same_node = log entries) holds in
-                 replicated mode too *)
-              t.packets <- t.packets + 1;
-              t.bytes <- t.bytes + bytes;
-              Stats.Counter.incr t.c_frames;
-              log_packet t p;
-              transmit t ~src_ip:at_ip ~dst_ip:other ~bytes (fun () ->
-                  register_at t ~replica_ip:other ~site_name ~id_name ~rtti
-                    ~ctx nref)
-            end)
-          t.replicas
-      end
-  | Packet.Pns_lookup { site_name; id_name; req_id; requester_site; requester_ip; _ } -> (
-      if t.tr_on then
-        Trace.emit t.tracer ~ts:(Simnet.now t.sim) ~track:Trace.fabric_track
-          ~span:ctx Trace.Ns_serve;
-      let waiter =
-        { Nameservice.w_req_id = req_id; w_site = requester_site;
-          w_ip = requester_ip }
-      in
-      let ns = replica_of t at_ip in
-      match Nameservice.lookup_id ns ~site:site_name ~name:id_name waiter with
-      | Some (nref, rtti) ->
-          reply_ns t ~from_ip:at_ip ~ctx
-            (Packet.Pns_reply
-               { req_id; dst_site = requester_site; dst_ip = requester_ip;
-                 result = Some nref; rtti })
-      | None -> (* parked until the registration arrives *) ())
-  | Packet.Pmsg { dst; _ } | Packet.Pobj { dst; _ } ->
-      deliver_to_site t dst.Netref.site_id ~ctx ~same_node p
-  | Packet.Pfetch_req { cls; _ } ->
-      deliver_to_site t cls.Netref.site_id ~ctx ~same_node p
-  | Packet.Pfetch_rep { dst_site; _ } | Packet.Pns_reply { dst_site; _ } ->
-      deliver_to_site t dst_site ~ctx ~same_node p
-  | Packet.Prelease { origin_site; _ } ->
-      deliver_to_site t origin_site ~ctx ~same_node p
+  | Packet.Pns_register _ when t.cfg.ns_mode = Replicated ->
+      (* replicated mode: propagate the registration to every other
+         replica.  Replica [other] is hosted by node ip [other]; each
+         copy is a packet in its own right — logged and counted like any
+         other, so the packet accounting invariant (packets + same_node
+         = log entries) holds in replicated mode too *)
+      let home = at_ip mod Array.length t.replicas in
+      let bytes = Packet.byte_size p in
+      Array.iteri
+        (fun other _ ->
+          if other <> home then begin
+            t.packets <- t.packets + 1;
+            t.bytes <- t.bytes + bytes;
+            Stats.Counter.incr t.c_frames;
+            log_packet t p;
+            transmit t ~src_ip:at_ip ~dst_ip:other ~bytes (fun () ->
+                Fabric.serve t.fab ~at_ip:other ~ctx p)
+          end)
+        t.replicas
+  | _ -> ()
 
-and register_at t ~replica_ip ~site_name ~id_name ~rtti ~ctx nref =
-  let ns = replica_of t replica_ip in
-  let waiters =
-    Nameservice.register_id ns ~site:site_name ~name:id_name ~rtti nref
+let create ?(config = default_config) () =
+  let sim =
+    Simnet.create ~topology:config.topology ~faults:config.faults
+      ~seed:config.seed ()
   in
-  List.iter
-    (fun (wtr : Nameservice.waiter) ->
-      reply_ns t ~from_ip:replica_ip ~ctx
-        (Packet.Pns_reply
-           { req_id = wtr.Nameservice.w_req_id;
-             dst_site = wtr.Nameservice.w_site;
-             dst_ip = wtr.Nameservice.w_ip;
-             result = Some nref;
-             rtti }))
-    waiters
-
-and reply_ns t ~from_ip ~ctx p =
-  (* name-service processing cost, then the reply travels as a packet —
-     under a span of its own, a child of the request (or registration)
-     that triggered it *)
-  let ctx' =
-    if t.tr_on then Trace.fresh_span t.tracer ~parent:ctx
-    else Trace.null_span
+  let stats = Stats.create () in
+  let tracer =
+    Trace.create ~capacity:config.trace_capacity ~enabled:config.tracing ()
   in
-  Simnet.schedule t.sim ~delay:ns_processing_cost (fun () ->
-      (* the name service is not a site, so the reply's [Send] lands on
-         the fabric track — every packet span must have one for the
-         causal tree (and the Perfetto flow arrow) to be complete *)
-      if t.tr_on then
-        Trace.emit t.tracer ~ts:(Simnet.now t.sim) ~track:Trace.fabric_track
-          ~span:ctx'
-          (Trace.Send { pk = Packet.trace_pk p; bytes = Packet.byte_size p });
-      send_packet t ~src_ip:from_ip ~ctx:ctx' p)
+  Trace.register_track tracer ~id:Trace.fabric_track ~name:"fabric" ();
+  let mx = if config.metrics then Metrics.create ~enabled:true () else Metrics.disabled in
+  let replicas =
+    match config.ns_mode with
+    | Centralized -> [| Nameservice.create () |]
+    | Replicated ->
+        (* replica [r] is hosted by node ip [r]; fewer replicas than
+           nodes is allowed — nodes without one consult ip mod r *)
+        let n =
+          if config.ns_replicas <= 0 then config.nodes
+          else min config.nodes config.ns_replicas
+        in
+        Array.init n (fun _ -> Nameservice.create ())
+  in
+  (* the fabric's [send] closes over the cluster it belongs to *)
+  let rec t =
+    lazy
+      { cfg = config;
+        sim;
+        replicas;
+        (* in centralized mode the service lives on node 0's address, as a
+           well-known location every site knows in advance (paper §5) *)
+        ns_ip = 0;
+        node_arr =
+          Array.init config.nodes (fun i ->
+              Node.create ~node_id:i ~ip:i ~cores:config.cores_per_node);
+        fab =
+          Fabric.create ~quantum:config.quantum ~metrics:mx
+            ~dead_letters:(Stats.counter stats "dead_letters")
+            { Fabric.now = (fun () -> Simnet.now sim);
+              sched = (fun ~delay f -> Simnet.schedule sim ~delay f);
+              send =
+                (fun ~src_ip ~ctx p ->
+                  send_packet (Lazy.force t) ~src_ip ~ctx p);
+              (* the replica a node consults: its own in Replicated mode *)
+              ns = (fun ip -> replicas.(ip mod Array.length replicas));
+              forward = (fun _ _ _ -> false);
+              pumped = (fun _ _ -> ());
+              tracer };
+        by_name = Hashtbl.create 16;
+        next_site_id = 0;
+        packets = 0;
+        bytes = 0;
+        in_flight = 0;
+        plog = Dq.create ();
+        plog_dropped = 0;
+        tracer;
+        tr_on = Trace.enabled tracer;
+        mx;
+        m_packets = Metrics.counter mx "packets";
+        m_bytes = Metrics.counter mx "bytes";
+        m_same_node = Metrics.counter mx "same_node_fast";
+        m_wire_ns = Metrics.histogram mx "wire_ns";
+        loopback_delay = Simnet.packet_delay sim ~src_ip:0 ~dst_ip:0 ~bytes:0;
+        outboxes = Hashtbl.create 16;
+        pending_batches = Hashtbl.create 16;
+        ack_states = Hashtbl.create 16;
+        stats;
+        c_drops = Stats.counter stats "drops";
+        c_dupes = Stats.counter stats "dupes";
+        c_reorders = Stats.counter stats "reorders";
+        c_retries = Stats.counter stats "retries";
+        c_dupes_suppressed = Stats.counter stats "dupes_suppressed";
+        c_timeouts = Stats.counter stats "timeouts";
+        c_acks = Stats.counter stats "acks";
+        c_same_node = Stats.counter stats "same_node_fast";
+        c_frames = Stats.counter stats "frames";
+        c_acks_piggybacked = Stats.counter stats "acks_piggybacked";
+        d_lat_wire = Stats.dist stats "lat_wire";
+        d_lat_retransmit = Stats.dist stats "lat_retransmit";
+        d_batch_fill = Stats.dist stats "batch_fill";
+        d_flush_wait = Stats.dist stats "lat_flush_wait";
+      }
+  in
+  Lazy.force t
 
-and deliver_to_site t site_id ~ctx ~same_node p =
-  match Hashtbl.find_opt t.by_id site_id with
-  | None ->
-      (* a packet addressed to a site this cluster never loaded: count
-         it as a dead letter and record the phantom destination rather
-         than dropping it silently *)
-      Stats.Counter.incr t.c_dead_letters;
-      t.suspected <-
-        (Simnet.now t.sim, Printf.sprintf "site#%d" site_id) :: t.suspected
-  | Some w ->
-      if Site.alive w.site then begin
-        let now = Simnet.now t.sim in
-        Metrics.incr t.m_deliveries;
-        if t.tr_on then
-          Trace.emit t.tracer ~ts:now ~track:site_id ~span:ctx
-            (Trace.Deliver { pk = Packet.trace_pk p; same_node });
-        Site.deliver ~ctx ~now w.site p;
-        request_pump t w ~delay:0
-      end
-      else
-        t.suspected <- (Simnet.now t.sim, Site.name w.site) :: t.suspected
+
+(* The per-site lifecycle a config asks for (both engines build their
+   sites with it). *)
+let site_lifecycle cfg =
+  { Site.lc_lease_ns = cfg.lease_ns;
+    lc_refresh_ns = cfg.lease_refresh_ns;
+    lc_hold_ns = cfg.lease_hold_ns;
+    lc_code_cache = cfg.code_cache_capacity;
+    lc_done_horizon_ns = Site.default_lifecycle.Site.lc_done_horizon_ns }
 
 (* ------------------------------------------------------------------ *)
 (* Program loading.                                                    *)
@@ -999,36 +875,20 @@ let load ?placement ?(annotations = fun _ -> None) ?(inputs = fun _ -> [])
           Some (fun ~delay f -> Simnet.schedule t.sim ~delay f)
         else None
       in
-      let lifecycle =
-        { Site.lc_lease_ns = t.cfg.lease_ns;
-          lc_refresh_ns = t.cfg.lease_refresh_ns;
-          lc_hold_ns = t.cfg.lease_hold_ns;
-          lc_code_cache = t.cfg.code_cache_capacity;
-          lc_done_horizon_ns = Site.default_lifecycle.Site.lc_done_horizon_ns }
+      let site =
+        Site.create
+          ?annotations:(annotations name)
+          ~inputs:(inputs name)
+          ~retry:t.cfg.site_retry
+          ~lifecycle:(site_lifecycle t.cfg)
+          ?schedule
+          ~on_suspect:(Fabric.suspect t.fab)
+          ~trace:t.tracer ~name ~site_id ~ip:(Node.ip node)
+          ~send:(fun ctx p -> send_packet t ~src_ip:(Node.ip node) ~ctx p)
+          ~on_output:(Fabric.output t.fab)
+          ~unit_ ()
       in
-      let w =
-        { site =
-            Site.create
-              ?annotations:(annotations name)
-              ~inputs:(inputs name)
-              ~retry:t.cfg.site_retry
-              ~lifecycle
-              ?schedule
-              ~on_suspect:(fun who ->
-                t.suspected <- (Simnet.now t.sim, who) :: t.suspected)
-              ~trace:t.tracer ~name ~site_id ~ip:(Node.ip node)
-              ~send:(fun ctx p -> send_packet t ~src_ip:(Node.ip node) ~ctx p)
-              ~on_output:(fun e -> t.outs <- (Simnet.now t.sim, e) :: t.outs)
-              ~unit_ ();
-          node;
-          pump_scheduled = false }
-      in
-      Node.add_site node w.site;
-      Hashtbl.replace t.by_name name w;
-      Hashtbl.replace t.by_id site_id w;
-      t.wrappers <- w :: t.wrappers;
-      Site.start w.site;
-      request_pump t w ~delay:0)
+      Hashtbl.replace t.by_name name (Fabric.load t.fab ~node site))
     units
 
 (* ------------------------------------------------------------------ *)

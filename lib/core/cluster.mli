@@ -114,6 +114,10 @@ val default_config : config
 
 val create : ?config:config -> unit -> t
 
+val site_lifecycle : config -> Site.lifecycle
+(** The lease and code-cache settings of [config] as every site of a
+    run gets them (both engines build their sites with it). *)
+
 val load :
   ?placement:(string -> int) ->
   ?annotations:(string -> Site.annotations option) ->

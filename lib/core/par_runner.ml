@@ -1,100 +1,51 @@
 (* The parallel execution engine: the cluster sharded over OCaml 5
-   domains.
+   domains.  DESIGN.md, "Multicore architecture", has the full
+   protocol; this is the map of the file.
 
    Each shard owns a disjoint set of nodes and everything beneath
-   them — sites, VMs, export tables, intern areas, statistics
-   reservoirs — plus its own discrete-event simulator, so a shard's
-   virtual clock advances independently.  Which nodes a shard owns is
-   decided by a placement map ({!Placement}): [ip mod domains] by
-   default, or greedy bin-packing over static site counts / profiled
-   node weights when the caller wants load-aware sharding.  No mutable
-   state is shared between shards: the only cross-domain traffic is
+   them — sites, VMs, export tables, statistics — plus its own
+   discrete-event simulator and its own {!Fabric}, which holds the
+   site table, pumps the sites and dispatches every packet that
+   arrives (the centralized name service lives in shard 0's).  Which
+   nodes a shard owns is a placement map ({!Placement}).  What this
+   file adds on top of Fabric is only what sharding needs:
 
-   - envelope {e batches} and node {e migrations} through one
-     {!Tyco_support.Spsc_ring} per ordered shard pair, and
-   - a handful of whole-run atomics (the in-flight element count,
-     per-shard pending/executed event counters, the node-to-shard
-     indirection table, the stop flag) that exist for termination
-     detection and routing.
+   - envelopes: a packet for a node of another shard is buffered per
+     destination shard and leaves as one {!Tyco_support.Spsc_ring}
+     element at the shard's step/park boundary;
+   - quiescence: per-shard [pending] counters and the global
+     [g_inflight] count every scheduled event, buffered batch, ring
+     element and node in transit, children always counted before
+     their parent is uncounted, so [inflight + sum pending = 0] only at
+     true quiescence;
+   - migration: the node-to-shard map is a table of atomics; a shard
+     ships a node (a [Mig] ring element, one [g_inflight] unit held
+     until the install), forwards packets for sites that left along
+     the table, and parks packets that raced ahead of an install in
+     [limbo].  Sites reach their current shard through the table.
 
-   Handoff batching (PR 9): cross-shard packets are not pushed one by
-   one.  Each shard buffers outbound envelopes per destination shard
-   and flushes each buffer as one ring element at its step/park
-   boundary (or earlier, when a buffer reaches
-   [handoff_batch_max]) — so one ring push, one [g_inflight]
-   increment and one consumer pop amortize over the whole batch,
-   mirroring the deterministic engine's [Fbatch] coalescing one layer
-   down.  Quiescence accounting stays exact without per-packet
-   atomics: a buffer's first envelope counts one unit on the owning
-   shard's [pending] (the pending flush is a scheduled obligation
-   like any heap event); the flush moves that unit onto [g_inflight]
-   (increment before decrement, so the sum never dips); the consumer
-   schedules every envelope's delivery (each a [pending] increment)
-   {e before} uncounting the batch from [g_inflight].  Children are
-   always counted before their parent is uncounted, so
-   [inflight + sum pending = 0] still holds only at true quiescence.
-
-   Dynamic rebalancing (PR 10): node ownership is no longer fixed for
-   the run.  The node-to-shard map is an array of atomics (the
-   {e indirection table}); the coordinator watches per-node executed
-   pump cost and, when the imbalance crosses a threshold
-   ({!Placement.choose_migration}), posts a migration command to the
-   owning shard.  At its next step boundary the owner {e ships} the
-   node: it flushes its outbound buffers, takes one [g_inflight] unit
-   (the node-in-transit obligation, held until the receiver finishes
-   installing — quiescence cannot fire with a node inside a ring),
-   publishes the new owner in the indirection table, retires its
-   wrappers, and pushes a [Mig] element through the ordinary ring.
-   The receiver re-points each site's owner cell (the one ref its
-   send/output callbacks dereference), builds fresh wrappers, drains
-   any packets that raced ahead of the envelope (parked in [limbo]
-   under the same in-flight unit), and only then releases the unit.
-   A shard that receives a packet for a site it no longer owns
-   {e forwards} it along the current table instead of dead-lettering,
-   so stale senders lose nothing.
-
-   Clock merge rule: a handed-off packet sent at sender-virtual time
-   [s] with wire delay [d] is delivered at receiver-virtual time
-   [max (receiver now) (s + d)] — delivery timestamps stay monotone
-   per receiver, at the price of cross-shard timestamps depending on
-   domain interleaving.  Determinism is the single-domain engine's
-   job ({!Cluster}); this engine preserves output *sets*, not
-   timestamps.  A migrated node's core occupancy is reset on install
-   for the same reason: the two shard clocks are not comparable.
-
-   Scope: the direct per-packet transport only.  Reliable delivery,
-   fault injection and replicated name service stay with the
-   deterministic engine (rings are lossless and ordered, so none of
-   that machinery has work to do here); configs requesting them are
-   rejected loudly.  Tracing is rejected {e when rebalancing}: a
-   site's trace collector is captured at creation and cannot follow
-   the site across domains without sharing a collector.
-
-   Observability: each shard owns a private {!Trace} collector (span
-   ids strided by [shard + k * domains] so they stay globally unique
-   without a shared counter) and a private {!Metrics} registry;
-   envelopes carry the packet's span across the ring so cross-shard
-   packets keep their causal tree.  Both are merged at quiescence,
-   after the joins — the only time shard state is read from outside. *)
+   Clock merge rule: a packet sent at sender time [s] with wire delay
+   [d] is delivered at receiver time [max (receiver now) (s + d)], so
+   this engine preserves output multisets, not timestamps.  Reliable
+   delivery, faults and the replicated name service stay with the
+   deterministic engine ({!validate}); tracing is rejected when
+   rebalancing, since a site's trace collector cannot follow it across
+   domains.  Per-shard traces and metrics are merged after the joins —
+   the only time shard state is read from outside. *)
 
 module Simnet = Tyco_net.Simnet
 module Packet = Tyco_net.Packet
 module Nameservice = Tyco_net.Nameservice
-module Netref = Tyco_support.Netref
 module Stats = Tyco_support.Stats
 module Prng = Tyco_support.Prng
 module Trace = Tyco_support.Trace
 module Metrics = Tyco_support.Metrics
 module Spsc = Tyco_support.Spsc_ring
 
-let ns_processing_cost = 1_000
-let context_switch_cost = 200
-
 exception Shard_failure of int * string
 (* An exception that escaped one shard's domain, re-raised at join
    with the shard identified; [Api.run_parallel] maps it to
-   [Runtime_error].  Before PR 10 the raw exception was re-raised
-   anonymously (and non-[Failure] exceptions escaped [Api] unwrapped). *)
+   [Runtime_error]. *)
 
 (* One handed-off packet: everything the receiving shard needs to
    charge the wire and route, so it never touches sender state. *)
@@ -137,29 +88,14 @@ type global = {
   g_migrations : int Atomic.t; (* installs completed, coordinator-read *)
 }
 
-type wrapper = {
-  w_site : Site.t;
-  w_node : Node.t;
-  (* the owner cell: shared with the site's send/output/suspect
-     closures, re-pointed by the installing shard.  Only the domain
-     that currently owns the site ever touches it; ring push/pop
-     orders the handover *)
-  w_owner : shard ref;
-  mutable w_pump_scheduled : bool;
-  (* set by the shipping shard: pump events already in its heap for
-     this wrapper become no-ops (the site now lives elsewhere) *)
-  mutable w_stale : bool;
-}
-
-and shard = {
+type shard = {
   sh_id : int;
   g : global;
   sim : Simnet.t;
-  quantum : int;
   loopback_delay : int;
-  ns : Nameservice.t option; (* the centralized service, shard 0 only *)
-  by_id : (int, wrapper) Hashtbl.t;
-  mutable wrappers : wrapper list;
+  (* site table, pump scheduler, demux and — on shard 0 — the
+     centralized name service *)
+  fab : Fabric.t;
   in_rings : element Spsc.t option array; (* index = source shard *)
   out_rings : element Spsc.t option array; (* index = destination shard *)
   out_bufs : outbuf array; (* index = destination shard; self unused *)
@@ -173,7 +109,6 @@ and shard = {
      -1 for none; consumed at the step boundary *)
   mig_cmd : int Atomic.t;
   (* shard-confined accumulators, merged after join *)
-  mutable outs : (int * Output.event) list;
   mutable packets : int;
   mutable bytes : int;
   mutable same_node : int;
@@ -182,7 +117,6 @@ and shard = {
   mutable envelopes_out : int; (* envelopes those flushes carried *)
   mutable parks : int;
   mutable drains : int; (* backpressure drain passes while pushing *)
-  mutable dead_letters : int;
   mutable forwarded : int; (* envelopes re-sent along the table *)
   mutable migrations_out : int; (* nodes this shard shipped *)
   mutable migrations_in : int; (* nodes this shard installed *)
@@ -190,13 +124,10 @@ and shard = {
   (* migrations dropped at teardown (g_stop while pushing): kept so
      the post-join merge still sees their sites' stats *)
   mutable lost_migs : migration list;
-  mutable suspected : (int * string) list;
-  mutable busy_until : int;
   mutable error : exn option;
   (* shard-local observability: nothing here is shared while the
      domain runs; merged after join *)
   tr : Trace.t;
-  tr_on : bool;
   mx : Metrics.t;
   m_packets : Metrics.counter;
   m_bytes : Metrics.counter;
@@ -218,7 +149,7 @@ and shard = {
 (* What actually travels through a ring: one flush's worth of
    same-destination envelopes (the array is freshly sized at flush;
    ownership passes to the consumer with the push), or one migrating
-   node — its [Node.t] plus every site with its owner cell. *)
+   node — its [Node.t] plus every site on it. *)
 and element =
   | Batch of envelope array
   | Mig of migration
@@ -226,7 +157,7 @@ and element =
 and migration = {
   mg_ip : int;
   mg_node : Node.t;
-  mg_sites : (Site.t * shard ref) list;
+  mg_sites : Site.t list;
   mg_sent_wall : float; (* host clock at ship, for [migration_ns] *)
 }
 
@@ -245,37 +176,10 @@ let shard_of_ip g ip = Atomic.get (Array.unsafe_get g.g_shard_map ip)
 let handoff_batch_max = 64
 
 (* ------------------------------------------------------------------ *)
-(* The event graph: scheduling, transport, delivery.  Mirrors
-   [Cluster]'s batched path minus faults/reliability.                  *)
+(* The event graph: transport, handoff and migration.  Scheduling and
+   dispatch are [Fabric]'s.                                            *)
 
-let rec request_pump sh w ~delay =
-  if (not w.w_pump_scheduled) && (not w.w_stale) && Site.alive w.w_site
-  then begin
-    w.w_pump_scheduled <- true;
-    sched sh ~delay (fun () -> pump_event sh w)
-  end
-
-and pump_event sh w =
-  w.w_pump_scheduled <- false;
-  if (not w.w_stale) && Site.alive w.w_site then begin
-    let now = Simnet.now sh.sim in
-    let core, free = Node.earliest_core w.w_node in
-    if free > now then request_pump sh w ~delay:(free - now)
-    else begin
-      let cost = Site.pump ~now w.w_site ~quantum:sh.quantum in
-      if sh.g.g_rb_on then
-        ignore
-          (Atomic.fetch_and_add
-             (Array.unsafe_get sh.g.g_node_load (Node.ip w.w_node))
-             cost);
-      let duration = cost + context_switch_cost in
-      Node.occupy w.w_node ~core ~until:(now + duration);
-      sh.busy_until <- max sh.busy_until (now + duration);
-      if Site.busy w.w_site then request_pump sh w ~delay:duration
-    end
-  end
-
-and send_packet sh ~src_ip ?(ctx = Trace.null_span) (p : Packet.t) =
+let rec send_packet sh ~src_ip ~ctx (p : Packet.t) =
   let dst_ip = Packet.dst_ip p ~ns_ip:0 in
   let dst_shard = shard_of_ip sh.g dst_ip in
   if dst_shard = sh.sh_id then
@@ -285,7 +189,7 @@ and send_packet sh ~src_ip ?(ctx = Trace.null_span) (p : Packet.t) =
       sh.same_node <- sh.same_node + 1;
       Metrics.incr sh.m_same_node;
       sched sh ~delay:sh.loopback_delay (fun () ->
-          deliver sh ~at_ip:dst_ip ~ctx ~same_node:true p)
+          Fabric.deliver sh.fab ~at_ip:dst_ip ~ctx ~same_node:true p)
     end
     else begin
       let bytes = Packet.byte_size p in
@@ -294,7 +198,8 @@ and send_packet sh ~src_ip ?(ctx = Trace.null_span) (p : Packet.t) =
       Metrics.incr sh.m_packets;
       Metrics.add sh.m_bytes bytes;
       let delay = Simnet.packet_delay sh.sim ~src_ip ~dst_ip ~bytes in
-      sched sh ~delay (fun () -> deliver sh ~at_ip:dst_ip ~ctx p)
+      sched sh ~delay (fun () ->
+          Fabric.deliver sh.fab ~at_ip:dst_ip ~ctx ~same_node:false p)
     end
   else begin
     let bytes = Packet.byte_size p in
@@ -363,7 +268,12 @@ and push_element sh ~dst_shard el =
   let ring =
     match sh.out_rings.(dst_shard) with
     | Some r -> r
-    | None -> assert false (* dst_shard <> sh_id by construction *)
+    | None ->
+        failwith
+          (Printf.sprintf
+             "Par_runner: shard %d pushed a ring element to itself \
+              (invariant: ring traffic always crosses shards)"
+             sh.sh_id)
   in
   if not (Spsc.try_push ring el) then begin
     (* Backpressure: the ring is bounded, so spin — but keep draining
@@ -415,46 +325,37 @@ and absorb_batch sh (batch : envelope array) =
     let at = max now (env.env_send_ts + d) in
     Metrics.observe_int sh.m_handoff_lat (at - env.env_send_ts);
     sched sh ~delay:(at - now) (fun () ->
-        deliver sh ~at_ip:env.env_dst_ip ~ctx:env.env_span env.env_pkt)
+        Fabric.deliver sh.fab ~at_ip:env.env_dst_ip ~ctx:env.env_span
+          ~same_node:false env.env_pkt)
   done;
   Atomic.decr sh.g.g_inflight;
   n
 
-(* Install a migrated node: re-point every site's owner cell, build
-   fresh wrappers (the shipper's old ones are stale and stay behind so
-   its leftover pump events no-op without cross-domain writes), reset
-   the node's core clock, drain the packets that raced ahead, wake the
-   busy sites — and only then release the in-transit [g_inflight]
-   unit (children counted before the parent is uncounted). *)
+(* Install a migrated node: enter its sites in this shard's table
+   under fresh wrappers (the shipper's retired ones stay behind so its
+   leftover pump events no-op without cross-domain writes), reset the
+   node's core clock, drain the packets that raced ahead, wake the busy
+   sites — and only then release the in-transit [g_inflight] unit
+   (children counted before the parent is uncounted). *)
 and install_migration sh (m : migration) =
   sh.migrations_in <- sh.migrations_in + 1;
   sh.migration_ns <-
     sh.migration_ns
     + int_of_float ((Unix.gettimeofday () -. m.mg_sent_wall) *. 1e9);
   Node.reset_cores m.mg_node;
-  let ws =
-    List.map
-      (fun (site, owner) ->
-        owner := sh;
-        let w =
-          { w_site = site; w_node = m.mg_node; w_owner = owner;
-            w_pump_scheduled = false; w_stale = false }
-        in
-        Hashtbl.replace sh.by_id (Site.site_id site) w;
-        sh.wrappers <- w :: sh.wrappers;
-        w)
-      m.mg_sites
-  in
+  let ws = List.map (Fabric.adopt sh.fab ~node:m.mg_node) m.mg_sites in
   (match Hashtbl.find_opt sh.limbo m.mg_ip with
   | Some q ->
       Hashtbl.remove sh.limbo m.mg_ip;
       List.iter
         (fun (ctx, p) ->
-          sched sh ~delay:0 (fun () -> deliver sh ~at_ip:m.mg_ip ~ctx p))
+          sched sh ~delay:0 (fun () ->
+              Fabric.deliver sh.fab ~at_ip:m.mg_ip ~ctx ~same_node:false p))
         (List.rev !q)
   | None -> ());
   List.iter
-    (fun w -> if Site.busy w.w_site then request_pump sh w ~delay:0)
+    (fun w ->
+      if Site.busy w.Fabric.site then Fabric.request_pump sh.fab w ~delay:0)
     ws;
   Atomic.incr sh.g.g_migrations;
   Atomic.decr sh.g.g_inflight
@@ -473,8 +374,8 @@ and ship_node sh ~ip ~dst =
   then begin
     let mine =
       List.filter
-        (fun w -> (not w.w_stale) && Site.ip w.w_site = ip)
-        sh.wrappers
+        (fun w -> Site.ip w.Fabric.site = ip)
+        (Fabric.wrappers sh.fab)
     in
     if mine <> [] then begin
       (* buffered envelopes leave first so per-destination order is
@@ -482,18 +383,13 @@ and ship_node sh ~ip ~dst =
       ignore (flush_handoffs sh);
       Atomic.incr sh.g.g_inflight;
       Atomic.set sh.g.g_shard_map.(ip) dst;
-      List.iter
-        (fun w ->
-          w.w_stale <- true;
-          Hashtbl.remove sh.by_id (Site.site_id w.w_site))
-        mine;
-      sh.wrappers <- List.filter (fun w -> not w.w_stale) sh.wrappers;
+      List.iter (Fabric.retire sh.fab) mine;
       sh.migrations_out <- sh.migrations_out + 1;
       push_element sh ~dst_shard:dst
         (Mig
            { mg_ip = ip;
-             mg_node = (List.hd mine).w_node;
-             mg_sites = List.map (fun w -> (w.w_site, w.w_owner)) mine;
+             mg_node = (List.hd mine).Fabric.node;
+             mg_sites = List.map (fun w -> w.Fabric.site) mine;
              mg_sent_wall = Unix.gettimeofday () })
     end
   end
@@ -519,126 +415,43 @@ and drain_rings sh =
     sh.in_rings;
   !got
 
-and deliver sh ~at_ip ?(ctx = Trace.null_span) ?(same_node = false)
-    (p : Packet.t) =
-  match p with
-  | Packet.Pns_register { site_name; id_name; nref; rtti } ->
-      let ns =
-        match sh.ns with
-        | Some ns -> ns
-        | None -> assert false (* ns traffic routes to shard 0 *)
-      in
-      if sh.tr_on then
-        Trace.emit sh.tr ~ts:(Simnet.now sh.sim) ~track:Trace.fabric_track
-          ~span:ctx Trace.Ns_serve;
-      let waiters =
-        Nameservice.register_id ns ~site:site_name ~name:id_name ~rtti nref
-      in
-      List.iter
-        (fun (wtr : Nameservice.waiter) ->
-          reply_ns sh ~from_ip:at_ip ~ctx
-            (Packet.Pns_reply
-               { req_id = wtr.Nameservice.w_req_id;
-                 dst_site = wtr.Nameservice.w_site;
-                 dst_ip = wtr.Nameservice.w_ip;
-                 result = Some nref;
-                 rtti }))
-        waiters
-  | Packet.Pns_lookup { site_name; id_name; req_id; requester_site;
-                        requester_ip; _ } -> (
-      let ns =
-        match sh.ns with Some ns -> ns | None -> assert false
-      in
-      if sh.tr_on then
-        Trace.emit sh.tr ~ts:(Simnet.now sh.sim) ~track:Trace.fabric_track
-          ~span:ctx Trace.Ns_serve;
-      let waiter =
-        { Nameservice.w_req_id = req_id; w_site = requester_site;
-          w_ip = requester_ip }
-      in
-      match Nameservice.lookup_id ns ~site:site_name ~name:id_name waiter with
-      | Some (nref, rtti) ->
-          reply_ns sh ~from_ip:at_ip ~ctx
-            (Packet.Pns_reply
-               { req_id; dst_site = requester_site; dst_ip = requester_ip;
-                 result = Some nref; rtti })
-      | None -> (* parked until the registration arrives *) ())
-  | Packet.Pmsg { dst; _ } | Packet.Pobj { dst; _ } ->
-      deliver_to_site sh dst.Netref.site_id ~ctx ~same_node p
-  | Packet.Pfetch_req { cls; _ } ->
-      deliver_to_site sh cls.Netref.site_id ~ctx ~same_node p
-  | Packet.Pfetch_rep { dst_site; _ } | Packet.Pns_reply { dst_site; _ } ->
-      deliver_to_site sh dst_site ~ctx ~same_node p
-  | Packet.Prelease { origin_site; _ } ->
-      deliver_to_site sh origin_site ~ctx ~same_node p
-
-and reply_ns sh ~from_ip ~ctx p =
-  (* mirror of [Cluster.reply_ns]: the reply travels under a child span
-     of the request; the name service is not a site, so its [Send]
-     lands on the fabric track (shard 0 owns the service, hence the
-     fabric events all originate there) *)
-  let ctx' =
-    if sh.tr_on then Trace.fresh_span sh.tr ~parent:ctx else Trace.null_span
-  in
-  sched sh ~delay:ns_processing_cost (fun () ->
-      if sh.tr_on then
-        Trace.emit sh.tr ~ts:(Simnet.now sh.sim) ~track:Trace.fabric_track
-          ~span:ctx'
-          (Trace.Send { pk = Packet.trace_pk p; bytes = Packet.byte_size p });
-      send_packet sh ~src_ip:from_ip ~ctx:ctx' p)
-
-and deliver_to_site sh site_id ~ctx ~same_node p =
-  match Hashtbl.find_opt sh.by_id site_id with
-  | Some w ->
-      if Site.alive w.w_site then begin
-        let now = Simnet.now sh.sim in
-        if sh.tr_on then
-          Trace.emit sh.tr ~ts:now ~track:site_id ~span:ctx
-            (Trace.Deliver { pk = Packet.trace_pk p; same_node });
-        Site.deliver ~ctx ~now w.w_site p;
-        request_pump sh w ~delay:0
-      end
-      else
-        sh.suspected <-
-          (Simnet.now sh.sim, Site.name w.w_site) :: sh.suspected
-  | None ->
-      let ips = sh.g.g_site_ip in
-      if site_id < 0 || site_id >= Array.length ips then begin
-        sh.dead_letters <- sh.dead_letters + 1;
-        sh.suspected <-
-          (Simnet.now sh.sim, Printf.sprintf "site#%d" site_id)
-          :: sh.suspected
-      end
-      else begin
-        let ip = Array.unsafe_get ips site_id in
-        let owner = shard_of_ip sh.g ip in
-        if owner <> sh.sh_id then begin
-          (* the node migrated away: forward along the current table
-             (no packet/byte re-count — the original hop was already
-             charged; the hop is zero-distance on the wire model) *)
-          sh.forwarded <- sh.forwarded + 1;
-          enqueue_handoff sh ~dst_shard:owner
-            { env_pkt = p; env_src_ip = ip; env_dst_ip = ip;
-              env_send_ts = Simnet.now sh.sim;
-              env_bytes = Packet.byte_size p; env_span = ctx }
-        end
-        else begin
-          (* the table says this shard owns the node, but its migration
-             envelope has not been popped yet: park the packet in
-             limbo.  The envelope's [g_inflight] unit (held until the
-             install finishes draining this queue) keeps quiescence
-             from firing with the packet parked here *)
-          let q =
-            match Hashtbl.find_opt sh.limbo ip with
-            | Some q -> q
-            | None ->
-                let q = ref [] in
-                Hashtbl.add sh.limbo ip q;
-                q
-          in
-          q := (ctx, p) :: !q
-        end
-      end
+(* A packet for a site id missing from this shard's table
+   ([Fabric]'s [forward] hook): [false] — a dead letter — when no
+   shard can host the id. *)
+and forward sh site_id ctx p =
+  let ips = sh.g.g_site_ip in
+  site_id >= 0
+  && site_id < Array.length ips
+  &&
+  let ip = Array.unsafe_get ips site_id in
+  let owner = shard_of_ip sh.g ip in
+  if owner <> sh.sh_id then begin
+    (* the node migrated away: forward along the current table (no
+       packet/byte re-count — the original hop was already charged; the
+       hop is zero-distance on the wire model) *)
+    sh.forwarded <- sh.forwarded + 1;
+    enqueue_handoff sh ~dst_shard:owner
+      { env_pkt = p; env_src_ip = ip; env_dst_ip = ip;
+        env_send_ts = Simnet.now sh.sim;
+        env_bytes = Packet.byte_size p; env_span = ctx }
+  end
+  else begin
+    (* the table says this shard owns the node, but its migration
+       envelope has not been popped yet: park the packet in limbo.  The
+       envelope's [g_inflight] unit (held until the install finishes
+       draining this queue) keeps quiescence from firing with the
+       packet parked here *)
+    let q =
+      match Hashtbl.find_opt sh.limbo ip with
+      | Some q -> q
+      | None ->
+          let q = ref [] in
+          Hashtbl.add sh.limbo ip q;
+          q
+    in
+    q := (ctx, p) :: !q
+  end;
+  true
 
 (* ------------------------------------------------------------------ *)
 (* The per-domain driver loop.                                         *)
@@ -841,7 +654,12 @@ let run ?(config = Cluster.default_config) ?placement
   List.iter (fun n -> site_counts.(n) <- site_counts.(n) + 1) site_nodes;
   let shard_map = Placement.assign ~domains ~site_counts policy in
   assert (Array.length shard_map = nnodes);
-  assert (nnodes = 0 || shard_map.(0) = 0) (* NS host pinned to shard 0 *);
+  if nnodes > 0 && shard_map.(0) <> 0 then
+    failwith
+      (Printf.sprintf
+         "Par_runner: placement put node 0 on shard %d (invariant: the \
+          name-service host is pinned to shard 0)"
+         shard_map.(0));
   let weights =
     match policy with
     | Placement.Profile w -> w
@@ -903,51 +721,79 @@ let run ?(config = Cluster.default_config) ?placement
         in
         Metrics.set (Metrics.gauge mx "placement_weight")
           (int_of_float (Float.round placement_weights.(s)));
-        { sh_id = s;
-          g;
-          sim;
-          quantum = config.Cluster.quantum;
-          loopback_delay =
-            Simnet.packet_delay sim ~src_ip:0 ~dst_ip:0 ~bytes:0;
-          ns = (if s = 0 then Some (Nameservice.create ()) else None);
-          by_id = Hashtbl.create 16;
-          wrappers = [];
-          in_rings = Array.init domains (fun src -> rings.(src).(s));
-          out_rings = rings.(s);
-          out_bufs =
-            Array.init domains (fun _ -> { hb_envs = [||]; hb_count = 0 });
-          weight = placement_weights.(s);
-          limbo = Hashtbl.create 4;
-          mig_cmd = Atomic.make (-1);
-          outs = [];
-          packets = 0;
-          bytes = 0;
-          same_node = 0;
-          handoffs_in = 0;
-          batches_out = 0;
-          envelopes_out = 0;
-          parks = 0;
-          drains = 0;
-          dead_letters = 0;
-          forwarded = 0;
-          migrations_out = 0;
-          migrations_in = 0;
-          migration_ns = 0;
-          lost_migs = [];
-          suspected = [];
-          busy_until = 0;
-          error = None;
-          tr;
-          tr_on = Trace.enabled tr;
-          mx;
-          m_packets = Metrics.counter mx "packets";
-          m_bytes = Metrics.counter mx "bytes";
-          m_same_node = Metrics.counter mx "same_node_fast";
-          m_handoffs_in = Metrics.counter mx "handoffs_in";
-          m_handoff_lat = Metrics.histogram mx "handoff_lat_ns";
-          m_batch_fill = Metrics.histogram mx "ring_batch_fill";
-          pending = Atomic.make 0;
-          executed = g.g_executed.(s) })
+        let ns =
+          if s = 0 then
+            let ns = Nameservice.create () in
+            fun _ -> ns
+          else fun _ ->
+            failwith
+              (Printf.sprintf
+                 "Par_runner: shard %d received name-service traffic \
+                  (invariant: the service is pinned to shard 0)"
+                 s)
+        in
+        let pumped =
+          if g.g_rb_on then fun node cost ->
+            ignore
+              (Atomic.fetch_and_add
+                 (Array.unsafe_get g.g_node_load (Node.ip node))
+                 cost)
+          else fun _ _ -> ()
+        in
+        (* the fabric's callbacks close over the shard they belong to *)
+        let rec sh =
+          lazy
+            { sh_id = s;
+              g;
+              sim;
+              loopback_delay =
+                Simnet.packet_delay sim ~src_ip:0 ~dst_ip:0 ~bytes:0;
+              fab =
+                Fabric.create ~quantum:config.Cluster.quantum ~metrics:mx
+                  ~dead_letters:(Stats.Counter.create "dead_letters")
+                  { Fabric.now = (fun () -> Simnet.now sim);
+                    sched = (fun ~delay f -> sched (Lazy.force sh) ~delay f);
+                    send =
+                      (fun ~src_ip ~ctx p ->
+                        send_packet (Lazy.force sh) ~src_ip ~ctx p);
+                    ns;
+                    forward =
+                      (fun id ctx p -> forward (Lazy.force sh) id ctx p);
+                    pumped;
+                    tracer = tr };
+              in_rings = Array.init domains (fun src -> rings.(src).(s));
+              out_rings = rings.(s);
+              out_bufs =
+                Array.init domains (fun _ -> { hb_envs = [||]; hb_count = 0 });
+              weight = placement_weights.(s);
+              limbo = Hashtbl.create 4;
+              mig_cmd = Atomic.make (-1);
+              packets = 0;
+              bytes = 0;
+              same_node = 0;
+              handoffs_in = 0;
+              batches_out = 0;
+              envelopes_out = 0;
+              parks = 0;
+              drains = 0;
+              forwarded = 0;
+              migrations_out = 0;
+              migrations_in = 0;
+              migration_ns = 0;
+              lost_migs = [];
+              error = None;
+              tr;
+              mx;
+              m_packets = Metrics.counter mx "packets";
+              m_bytes = Metrics.counter mx "bytes";
+              m_same_node = Metrics.counter mx "same_node_fast";
+              m_handoffs_in = Metrics.counter mx "handoffs_in";
+              m_handoff_lat = Metrics.histogram mx "handoff_lat_ns";
+              m_batch_fill = Metrics.histogram mx "ring_batch_fill";
+              pending = Atomic.make 0;
+              executed = g.g_executed.(s) }
+        in
+        Lazy.force sh)
   in
   (* load sites (on the coordinating domain, before any shard domain
      exists — construction is the last moment state is shared).  Any
@@ -962,43 +808,21 @@ let run ?(config = Cluster.default_config) ?placement
       (* site ids follow unit order, as before *)
       incr next_site_id;
       let site_id = !next_site_id in
-      let lifecycle =
-        { Site.lc_lease_ns = config.Cluster.lease_ns;
-          lc_refresh_ns = config.Cluster.lease_refresh_ns;
-          lc_hold_ns = config.Cluster.lease_hold_ns;
-          lc_code_cache = config.Cluster.code_cache_capacity;
-          lc_done_horizon_ns =
-            Site.default_lifecycle.Site.lc_done_horizon_ns }
+      (* the site's callbacks reach whichever shard owns its node now:
+         they only run inside that shard's pumps, so the indirection
+         table a migration flips is all they need *)
+      let ip = Node.ip node in
+      let owner () = shards.(shard_of_ip g ip) in
+      let site =
+        Site.create ~inputs:(inputs name) ~retry:config.Cluster.site_retry
+          ~lifecycle:(Cluster.site_lifecycle config)
+          ~on_suspect:(fun who -> Fabric.suspect (owner ()).fab who)
+          ~trace:sh.tr ~name ~site_id ~ip
+          ~send:(fun ctx p -> send_packet (owner ()) ~src_ip:ip ~ctx p)
+          ~on_output:(fun e -> Fabric.output (owner ()).fab e)
+          ~unit_ ()
       in
-      (* the owner cell: the site's callbacks route through whichever
-         shard currently owns the node, so a migration only has to
-         re-point this one ref *)
-      let owner = ref sh in
-      let w =
-        { w_site =
-            Site.create ~inputs:(inputs name)
-              ~retry:config.Cluster.site_retry ~lifecycle
-              ~on_suspect:(fun who ->
-                let sh = !owner in
-                sh.suspected <- (Simnet.now sh.sim, who) :: sh.suspected)
-              ~trace:sh.tr ~name ~site_id ~ip:(Node.ip node)
-              ~send:(fun ctx p ->
-                let sh = !owner in
-                send_packet sh ~src_ip:(Node.ip node) ~ctx p)
-              ~on_output:(fun e ->
-                let sh = !owner in
-                sh.outs <- (Simnet.now sh.sim, e) :: sh.outs)
-              ~unit_ ();
-          w_node = node;
-          w_owner = owner;
-          w_pump_scheduled = false;
-          w_stale = false }
-      in
-      Node.add_site node w.w_site;
-      Hashtbl.replace sh.by_id site_id w;
-      sh.wrappers <- w :: sh.wrappers;
-      Site.start w.w_site;
-      request_pump sh w ~delay:0)
+      ignore (Fabric.load sh.fab ~node site))
     units site_nodes;
   (* forced migrations (the deterministic test hook): posted before the
      domains spawn, so each is consumed at the owning shard's first
@@ -1172,23 +996,15 @@ let run ?(config = Cluster.default_config) ?placement
         | 0 -> compare e1.Output.site e2.Output.site
         | c -> c)
       (Array.fold_left
-         (fun acc sh -> List.rev_append sh.outs acc)
+         (fun acc sh -> Fabric.outputs sh.fab @ acc)
          [] shards)
   in
   let sum (f : shard -> int) =
     Array.fold_left (fun acc sh -> acc + f sh) 0 shards
   in
-  let ring_pushed = ref 0 and ring_popped = ref 0 and rings_empty = ref true in
-  Array.iter
-    (Array.iter (function
-      | None -> ()
-      | Some r ->
-          ring_pushed := !ring_pushed + Spsc.pushed r;
-          ring_popped := !ring_popped + Spsc.popped r;
-          if not (Spsc.is_empty r) then rings_empty := false))
-    rings;
+  let ring_pushed, ring_popped = ring_totals () in
   let clean =
-    (not !timed_out) && !rings_empty
+    (not !timed_out) && ring_pushed = ring_popped
     && Atomic.get g.g_inflight = 0
     && Array.for_all (fun sh -> Atomic.get sh.pending = 0) shards
     && Array.for_all (fun sh -> Hashtbl.length sh.limbo = 0) shards
@@ -1196,17 +1012,7 @@ let run ?(config = Cluster.default_config) ?placement
   (* every site this shard can account for: its live wrappers plus any
      migration it had to drop at teardown *)
   let shard_sites (sh : shard) =
-    List.rev_map (fun w -> w.w_site) sh.wrappers
-    @ List.concat_map
-        (fun m -> List.map fst m.mg_sites)
-        sh.lost_migs
-  in
-  let instructions =
-    sum (fun sh ->
-        List.fold_left
-          (fun acc s ->
-            acc + Stats.counter_value (Site.stats s) "instructions")
-          0 (shard_sites sh))
+    Fabric.sites sh.fab @ List.concat_map (fun m -> m.mg_sites) sh.lost_migs
   in
   let node_weights =
     let w = Array.make nnodes 0. in
@@ -1242,9 +1048,9 @@ let run ?(config = Cluster.default_config) ?placement
             | None -> () | Some r -> popped := !popped + Spsc.popped r)
           sh.in_rings;
         { ss_shard = sh.sh_id;
-          ss_sites = Hashtbl.length sh.by_id;
+          ss_sites = Fabric.site_count sh.fab;
           ss_events = Atomic.get sh.executed;
-          ss_virtual_ns = max (Simnet.now sh.sim) sh.busy_until;
+          ss_virtual_ns = max (Simnet.now sh.sim) (Fabric.busy_until sh.fab);
           ss_packets = sh.packets;
           ss_same_node = sh.same_node;
           ss_handoffs_in = sh.handoffs_in;
@@ -1301,28 +1107,29 @@ let run ?(config = Cluster.default_config) ?placement
   { outputs;
     virtual_ns =
       Array.fold_left
-        (fun acc sh -> max acc (max (Simnet.now sh.sim) sh.busy_until))
+        (fun acc sh ->
+          max acc (max (Simnet.now sh.sim) (Fabric.busy_until sh.fab)))
         0 shards;
     packets = sum (fun sh -> sh.packets);
     bytes = sum (fun sh -> sh.bytes);
     same_node_fast = sum (fun sh -> sh.same_node);
     handoffs = sum (fun sh -> sh.handoffs_in);
-    ring_pushed = !ring_pushed;
-    ring_popped = !ring_popped;
+    ring_pushed;
+    ring_popped;
     ring_batch_fill_mean;
     parks = sum (fun sh -> sh.parks);
     domains;
-    instructions;
+    instructions = int_of_float (Array.fold_left ( +. ) 0. node_weights);
     wall_ns;
-    dead_letters = sum (fun sh -> sh.dead_letters);
+    dead_letters = sum (fun sh -> Fabric.dead_letters sh.fab);
     migrations = sum (fun sh -> sh.migrations_in);
     migration_ns = sum (fun sh -> sh.migration_ns);
     forwarded_envelopes = sum (fun sh -> sh.forwarded);
     suspected =
       List.concat_map
-        (fun (sh : shard) -> List.rev sh.suspected)
+        (fun (sh : shard) -> Fabric.suspected sh.fab)
         (Array.to_list shards);
-    sites_per_shard = Array.map (fun sh -> Hashtbl.length sh.by_id) shards;
+    sites_per_shard = Array.map (fun sh -> Fabric.site_count sh.fab) shards;
     placement_weights;
     node_weights;
     events = sum (fun sh -> Atomic.get sh.executed);

@@ -1,6 +1,5 @@
 module Packet = Tyco_net.Packet
 module Nameservice = Tyco_net.Nameservice
-module Netref = Tyco_support.Netref
 module Trace = Tyco_support.Trace
 module Wire = Tyco_support.Wire
 module Metrics = Tyco_support.Metrics
@@ -11,6 +10,8 @@ type result = {
   wall_ns : int;
   timed_out : bool;
   parks : int;
+  malformed_frames : int;
+  dead_letters : int;
   metrics : Metrics.t;
 }
 
@@ -37,9 +38,13 @@ let buf_append cb src n =
   Bytes.blit src 0 cb.data cb.len n;
   cb.len <- cb.len + n
 
-(* Extract complete frames. *)
-let buf_drain cb =
-  let frames = ref [] in
+(* No packet comes near this: a longer length prefix is a bad frame,
+   not a reason to buffer gigabytes. *)
+let max_frame_bytes = 16 * 1024 * 1024
+
+(* Hand every complete frame to [f], in order.  Raises
+   [Wire.Malformed] at a length prefix over [max_frame_bytes]. *)
+let buf_drain cb f =
   let pos = ref 0 in
   let continue_ = ref true in
   while !continue_ do
@@ -50,9 +55,12 @@ let buf_drain cb =
         lor (Bytes.get_uint8 cb.data (!pos + 2) lsl 8)
         lor Bytes.get_uint8 cb.data (!pos + 3)
       in
+      if n > max_frame_bytes then
+        raise (Wire.Malformed (Printf.sprintf "frame length %d" n));
       if cb.len - !pos - 4 >= n then begin
-        frames := Bytes.sub_string cb.data (!pos + 4) n :: !frames;
-        pos := !pos + 4 + n
+        let frame = Bytes.sub_string cb.data (!pos + 4) n in
+        pos := !pos + 4 + n;
+        f frame
       end
       else continue_ := false
     end
@@ -61,15 +69,13 @@ let buf_drain cb =
   if !pos > 0 then begin
     Bytes.blit cb.data !pos cb.data 0 (cb.len - !pos);
     cb.len <- cb.len - !pos
-  end;
-  List.rev !frames
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Node state.                                                         *)
 
 type node = {
   node_id : int;
-  port : int;
   listen : Unix.file_descr;
   (* outgoing connections, by peer node id *)
   peers : (int, Unix.file_descr) Hashtbl.t;
@@ -90,6 +96,8 @@ type node = {
   scratch : Bytes.t;
   (* idle parks taken by this node's domain, read after join *)
   mutable parks : int;
+  mutable malformed : int; (* connections dropped for a bad frame *)
+  mutable dead_letters : int; (* packets for no live site of this node *)
   (* node-confined metrics registry (the ad-hoc park/retry counters,
      folded): only this node's domain bumps it; merged after join *)
   mx : Metrics.t;
@@ -106,7 +114,6 @@ type shared = {
   total_packets : int Atomic.t;
   outputs_mu : Mutex.t;
   mutable outputs : Output.event list; (* newest first *)
-  by_site_id : (int, int) Hashtbl.t;   (* site id -> node id, read-only *)
 }
 
 let connect_with_retry shared node peer =
@@ -194,71 +201,61 @@ let flush_tx shared node =
 (* Per-node event loop.                                                *)
 
 let route shared node ~ctx (p : Packet.t) =
-  let dst_node =
-    match p with
-    | Packet.Pns_register _ | Packet.Pns_lookup _ -> 0
-    | Packet.Pmsg { dst; _ } | Packet.Pobj { dst; _ } -> dst.Netref.ip
-    | Packet.Pfetch_req { cls; _ } -> cls.Netref.ip
-    | Packet.Pfetch_rep { dst_ip; _ } | Packet.Pns_reply { dst_ip; _ } ->
-        dst_ip
-    | Packet.Prelease { origin_ip; _ } -> origin_ip
-  in
+  let dst_node = Packet.dst_ip p ~ns_ip:0 in
   if dst_node = node.node_id then Queue.push (p, ctx) node.inbox
   else send_to shared node dst_node ~ctx p
 
-let handle_ns shared node ~ctx (p : Packet.t) =
-  match p with
-  | Packet.Pns_register { site_name; id_name; nref; rtti } ->
-      let waiters =
-        Nameservice.register_id node.ns ~site:site_name ~name:id_name ~rtti
-          nref
-      in
-      List.iter
-        (fun (w : Nameservice.waiter) ->
-          route shared node ~ctx
-            (Packet.Pns_reply
-               { req_id = w.Nameservice.w_req_id;
-                 dst_site = w.Nameservice.w_site;
-                 dst_ip = w.Nameservice.w_ip;
-                 result = Some nref;
-                 rtti }))
-        waiters
-  | Packet.Pns_lookup
-      { site_name; id_name; req_id; requester_site; requester_ip; _ } -> (
-      let w =
-        { Nameservice.w_req_id = req_id; w_site = requester_site;
-          w_ip = requester_ip }
-      in
-      match Nameservice.lookup_id node.ns ~site:site_name ~name:id_name w with
-      | Some (nref, rtti) ->
-          route shared node ~ctx
-            (Packet.Pns_reply
-               { req_id; dst_site = requester_site; dst_ip = requester_ip;
-                 result = Some nref; rtti })
-      | None -> ())
-  | _ -> ()
-
 let deliver shared node ~ctx (p : Packet.t) =
-  match p with
-  | Packet.Pns_register _ | Packet.Pns_lookup _ -> handle_ns shared node ~ctx p
-  | Packet.Pmsg { dst; _ } | Packet.Pobj { dst; _ } ->
-      List.iter
-        (fun s ->
-          if Site.site_id s = dst.Netref.site_id then Site.deliver ~ctx s p)
-        node.sites
-  | Packet.Pfetch_req { cls; _ } ->
-      List.iter
-        (fun s ->
-          if Site.site_id s = cls.Netref.site_id then Site.deliver ~ctx s p)
-        node.sites
-  | Packet.Pfetch_rep { dst_site; _ } | Packet.Pns_reply { dst_site; _ } ->
-      List.iter
-        (fun s -> if Site.site_id s = dst_site then Site.deliver ~ctx s p)
-        node.sites
-  | Packet.Prelease { origin_site; _ } ->
-      List.iter
-        (fun s -> if Site.site_id s = origin_site then Site.deliver ~ctx s p)
-        node.sites
+  let site_id = Fabric.dst_site p in
+  if site_id = Fabric.ns_site then
+    Fabric.serve_ns node.ns p ~reply:(route shared node ~ctx)
+  else
+    match List.find_opt (fun s -> Site.site_id s = site_id) node.sites with
+    | Some s when Site.alive s -> Site.deliver ~ctx s p
+    | _ -> node.dead_letters <- node.dead_letters + 1
+
+(* A frame's packet.  Decoding is pure, so whatever it raises means the
+   bytes are not a packet: a [Wire.Malformed], like a bad length. *)
+let decode_frame payload =
+  try Packet.of_string_traced payload
+  with e -> raise (Wire.Malformed (Printexc.to_string e))
+
+let drop fd =
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* Read what one peer sent and deliver its complete frames.  The node
+   is marked busy before any packet is uncounted from [in_flight]:
+   otherwise the coordinator could see it idle with nothing in flight
+   while it still holds the packet.  Returns [false] when the
+   connection is to be dropped — the peer closed or reset it, or sent
+   a frame that is not a packet (counted in [malformed], rather than
+   killing the node's domain). *)
+let read_peer shared node ~worked (fd, cb) =
+  match Unix.read fd node.scratch 0 (Bytes.length node.scratch) with
+  | 0 ->
+      drop fd;
+      false
+  | n -> (
+      Atomic.set node.idle false;
+      buf_append cb node.scratch n;
+      match
+        buf_drain cb (fun payload ->
+            let p, sp = decode_frame payload in
+            Atomic.decr shared.in_flight;
+            worked := true;
+            deliver shared node
+              ~ctx:(Option.value ~default:Trace.null_span sp)
+              p)
+      with
+      | () -> true
+      | exception Wire.Malformed _ ->
+          node.malformed <- node.malformed + 1;
+          drop fd;
+          false)
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> true
+  | exception Unix.Unix_error _ ->
+      drop fd;
+      false
 
 (* Idle parking: instead of a fixed 0.5 ms sleep per quiet iteration,
    the loop blocks in [select] on everything that can make work appear
@@ -291,25 +288,7 @@ let node_loop shared node () =
         worked := true
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
     (* read from peers *)
-    let scratch = node.scratch in
-    List.iter
-      (fun (fd, cb) ->
-        match Unix.read fd scratch 0 (Bytes.length scratch) with
-        | 0 -> () (* peer closed; keep buffer for leftovers *)
-        | n ->
-            buf_append cb scratch n;
-            List.iter
-              (fun payload ->
-                Atomic.decr shared.in_flight;
-                worked := true;
-                let p, sp = Packet.of_string_traced payload in
-                deliver shared node
-                  ~ctx:(Option.value ~default:Trace.null_span sp)
-                  p)
-              (buf_drain cb)
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            ())
-      node.accepted;
+    node.accepted <- List.filter (read_peer shared node ~worked) node.accepted;
     (* locally queued packets (self-routed name-service traffic) *)
     while not (Queue.is_empty node.inbox) do
       worked := true;
@@ -362,8 +341,7 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
       stop = Atomic.make false;
       total_packets = Atomic.make 0;
       outputs_mu = Mutex.create ();
-      outputs = [];
-      by_site_id = Hashtbl.create 16 }
+      outputs = [] }
   in
   let mk_node node_id =
     let listen = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -378,7 +356,6 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
       else Metrics.disabled
     in
     { node_id;
-      port = base_port + node_id;
       listen;
       peers = Hashtbl.create 8;
       tx = Hashtbl.create 8;
@@ -390,6 +367,8 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
       idle = Atomic.make true;
       scratch = Bytes.create 8192;
       parks = 0;
+      malformed = 0;
+      dead_letters = 0;
       mx;
       m_parks = Metrics.counter mx "parks";
       m_packets = Metrics.counter mx "packets";
@@ -402,7 +381,6 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
     (fun i (name, unit_) ->
       let node = node_arr.(i mod nodes) in
       let site_id = i in
-      Hashtbl.replace shared.by_site_id site_id node.node_id;
       let site =
         Site.create ~name ~site_id ~ip:node.node_id
           ~inputs:(inputs name)
@@ -426,7 +404,7 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
     Array.to_list
       (Array.map (fun n -> Domain.spawn (node_loop shared n)) node_arr)
   in
-  (* coordinator: two consecutive all-idle scans with nothing in flight *)
+  (* coordinator: three consecutive all-idle scans with nothing in flight *)
   let timed_out = ref false in
   let idle_streak = ref 0 in
   while not (Atomic.get shared.stop) do
@@ -457,11 +435,14 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
     end
     else Metrics.disabled
   in
+  let sum f = Array.fold_left (fun acc n -> acc + f n) 0 node_arr in
   { outputs = List.rev shared.outputs;
     packets = Atomic.get shared.total_packets;
     wall_ns;
     timed_out = !timed_out;
-    parks = Array.fold_left (fun acc n -> acc + n.parks) 0 node_arr;
+    parks = sum (fun n -> n.parks);
+    malformed_frames = sum (fun n -> n.malformed);
+    dead_letters = sum (fun n -> n.dead_letters);
     metrics = merged }
 
 let run_program ?nodes ?base_port ?timeout_ms ?metrics prog =

@@ -9,7 +9,14 @@
     the TyCOd role — framing packets, routing them to peer nodes,
     delivering to local site queues — is played by each node's event
     loop, and the centralized name service lives on node 0.  The same
-    {!Site} machinery runs unchanged; only the transport differs.
+    {!Site} machinery runs unchanged, and packets are dispatched by the
+    same {!Fabric} demux and name-service code as in the other engines;
+    only the transport differs.
+
+    A frame that cannot be a packet — a length prefix over 16 MiB, or
+    bytes that do not decode — drops the connection it came on and is
+    counted in [result.malformed_frames]; a connection the peer resets
+    is dropped too.  Either way the node keeps running.
 
     A quiet node does not spin: it parks in [select] on its sockets
     under an exponentially growing timeout (50 us doubling to 5 ms,
@@ -20,7 +27,9 @@
     Execution is {e not} deterministic (the OS schedules the domains),
     so tests compare output multisets against the simulated runtime.
     Termination uses a coordinator scan: all nodes idle and no packets
-    in flight for two consecutive scans.
+    in flight for three consecutive scans.  A node marks itself busy
+    before it uncounts a packet it has read, so no scan sees it idle
+    while it holds one.
 
     Limitations (documented, by design): no virtual clock (wall time
     only), no failure injection, and perpetual programs must be
@@ -32,6 +41,9 @@ type result = {
   wall_ns : int;                 (** elapsed wall-clock time *)
   timed_out : bool;
   parks : int;                   (** idle [select] parks across nodes *)
+  malformed_frames : int;        (** connections dropped for a bad frame *)
+  dead_letters : int;
+      (** packets addressed to a site that is not alive on their node *)
   metrics : Tyco_support.Metrics.t;
       (** per-node registries (parks, packets, bytes, connect
           retries) merged after the domains join; the disabled

@@ -177,14 +177,14 @@ let read_float d =
 
 let read_string d =
   let len = read_varint d in
-  if len > remaining d then fail "string: truncated";
+  if len < 0 || len > remaining d then fail "string: truncated";
   let s = String.sub d.data d.pos len in
   d.pos <- d.pos + len;
   s
 
 let read_list d f =
   let len = read_varint d in
-  if len > remaining d then fail "list: length exceeds input";
+  if len < 0 || len > remaining d then fail "list: length exceeds input";
   List.init len (fun _ -> f d)
 
 let read_option d f =

@@ -709,6 +709,71 @@ let rejects_deterministic_only_modes () =
           Cluster.faults =
             { Tyco_net.Simnet.no_faults with Tyco_net.Simnet.drop = 0.1 } } ) ]
 
+(* ------------------------------------------------------------------ *)
+(* Engine agreement over every packet kind                             *)
+
+(* One program whose traffic covers every packet kind the dispatch core
+   routes: name-service registrations, lookups and replies (Applet's
+   lookup reaches the service before [late] registers it — [late]
+   first waits on an import of its own — so it parks), method messages,
+   a FETCH request/reply and an object shipment. *)
+let every_kind_src =
+  {| site server {
+       def S(self) = self?{ applet(p) = (p?(x) = io!printi[x + 100] | S[self]) }
+       in export new srv S[srv] }
+     site late { import srv from server in
+                 export def Applet(p) = p![42] in nil }
+     site client {
+       import Applet from late in
+       import srv from server in
+       ( new p (srv!applet[p] | p![5])
+       | new q (Applet[q] | q?(v) = io!printi[v])) } |}
+
+let engine_agreement_every_kind () =
+  let prog = Api.parse every_kind_src in
+  (* the deterministic run, stepped so the name service's parked
+     lookups can be watched *)
+  let c = Cluster.create () in
+  Cluster.load c (Api.compile prog);
+  let parked = ref 0 and time = ref 0 in
+  while not (Cluster.quiescent c) do
+    time := !time + 500;
+    Cluster.run_until c ~time:!time;
+    parked := max !parked (Cluster.name_service_pending c)
+  done;
+  check Alcotest.bool "a lookup parked in the name service" true (!parked > 0);
+  let kinds = List.map snd (Cluster.packet_trace c) in
+  let has what f =
+    if not (List.exists f kinds) then
+      Alcotest.failf "no %s packet on the deterministic engine" what
+  in
+  has "Pmsg" (function Tyco_net.Packet.Pmsg _ -> true | _ -> false);
+  has "Pobj" (function Tyco_net.Packet.Pobj _ -> true | _ -> false);
+  has "Pfetch_req" (function Tyco_net.Packet.Pfetch_req _ -> true | _ -> false);
+  has "Pfetch_rep" (function Tyco_net.Packet.Pfetch_rep _ -> true | _ -> false);
+  has "Pns_register"
+    (function Tyco_net.Packet.Pns_register _ -> true | _ -> false);
+  has "Pns_lookup" (function Tyco_net.Packet.Pns_lookup _ -> true | _ -> false);
+  has "Pns_reply" (function Tyco_net.Packet.Pns_reply _ -> true | _ -> false);
+  check Alcotest.int "deterministic: dead letters" 0 (Cluster.dead_letters c);
+  let reference = event_multiset (Cluster.outputs c) in
+  check Alcotest.int "two outputs" 2 (List.length reference);
+  List.iter
+    (fun d ->
+      let par = Api.run_parallel ~domains:d prog in
+      let what = Printf.sprintf "%d domains" d in
+      check Alcotest.(list string) what reference
+        (event_multiset par.Par_runner.outputs);
+      check Alcotest.bool (what ^ ": clean") true par.Par_runner.clean;
+      check Alcotest.int (what ^ ": dead letters") 0
+        par.Par_runner.dead_letters)
+    [ 2; 4 ];
+  let tcp = Tcp_runner.run_program ~timeout_ms:20_000 prog in
+  check Alcotest.bool "tcp: finished" false tcp.Tcp_runner.timed_out;
+  check Alcotest.(list string) "tcp" reference
+    (event_multiset (List.map (fun e -> (0, e)) tcp.Tcp_runner.outputs));
+  check Alcotest.int "tcp: dead letters" 0 tcp.Tcp_runner.dead_letters
+
 let tests =
   [ ("spsc ring fifo", `Quick, ring_fifo);
     ("spsc ring bounded", `Quick, ring_bounded);
@@ -728,4 +793,6 @@ let tests =
     ("rebalance equivalence", `Quick, rebalance_equivalence);
     ("forced migration accounting", `Quick, forced_migration_accounting);
     ("global event budget", `Quick, global_event_budget);
-    ("rebalance rejects tracing", `Quick, rebalance_rejects_tracing) ]
+    ("rebalance rejects tracing", `Quick, rebalance_rejects_tracing);
+    ("engine agreement: every packet kind", `Quick,
+     engine_agreement_every_kind) ]

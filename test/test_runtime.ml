@@ -758,10 +758,79 @@ let tcp_runner_single_node () =
   check Alcotest.bool "same outputs" true
     (Output.same_multiset sim_outs r.Tcp_runner.outputs)
 
+(* Connect to a node's port (its listener may not be up yet) and write
+   [bytes] on a fresh connection; [false] if nothing ever listened. *)
+let send_raw ~port bytes =
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+  let rec go tries =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    match Unix.connect fd addr with
+    | () ->
+        ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+        Unix.close fd;
+        true
+    | exception Unix.Unix_error _ when tries > 0 ->
+        Unix.close fd;
+        Unix.sleepf 0.002;
+        go (tries - 1)
+    | exception Unix.Unix_error _ ->
+        Unix.close fd;
+        false
+  in
+  go 1000
+
+(* [Tcp_runner.run] asks for each site's inputs after the node
+   listeners are up and before any node loop starts, so frames written
+   from the callback wait, each on a connection of its own, in node 0's
+   accept backlog ahead of every peer's connection.  Node 0 accepts one
+   connection per loop iteration, so it has read all three bad frames
+   before it can even accept the client's name-service lookup: the
+   count is exact, whatever the timing. *)
+let tcp_runner_survives_bad_frames () =
+  let prog =
+    Api.parse
+      {| site server {
+           def S(self) = self?{ add(a, b, k) = (k![a + b] | S[self]) }
+           in export new svc S[svc] }
+         site client { import svc from server in
+           new k (svc!add[1, 2, k] | k?(v) = io!printi[v]) } |}
+  in
+  let expected = List.map snd (Api.run_program prog).Api.outputs in
+  let frame payload =
+    let b = Bytes.create 4 in
+    Bytes.set_int32_be b 0 (Int32.of_int (String.length payload));
+    Bytes.to_string b ^ payload
+  in
+  let base_port = 30000 + (Unix.getpid () mod 20000) in
+  let sent = ref [] in
+  let inputs = function
+    | "server" ->
+        sent :=
+          List.map (send_raw ~port:base_port)
+            [ (* a length prefix of 4 GiB *) "\255\255\255\255";
+              (* a 5-byte frame that is no packet *)
+              frame "\255\255\255\255\255";
+              (* a registration whose site name has length -1 *)
+              frame ("\004" ^ String.make 8 '\255' ^ "\127") ];
+        []
+    | _ -> []
+  in
+  let r =
+    Tcp_runner.run ~nodes:2 ~base_port ~inputs ~timeout_ms:20_000
+      (Api.compile prog)
+  in
+  check Alcotest.(list bool) "raw frames sent" [ true; true; true ] !sent;
+  check Alcotest.bool "finished" false r.Tcp_runner.timed_out;
+  check Alcotest.bool "same outputs" true
+    (Output.same_multiset expected r.Tcp_runner.outputs);
+  check Alcotest.int "malformed frames" 3 r.Tcp_runner.malformed_frames
+
 let tcp_tests =
   [ ("tcp transport: paper programs", `Slow, tcp_runner_paper_programs);
     ("tcp transport: packets flow", `Quick, tcp_runner_packets_flow);
-    ("tcp transport: single node", `Quick, tcp_runner_single_node) ]
+    ("tcp transport: single node", `Quick, tcp_runner_single_node);
+    ("tcp transport: survives bad frames", `Quick,
+     tcp_runner_survives_bad_frames) ]
 
 let tests = tests @ tcp_tests
 

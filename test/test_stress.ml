@@ -174,6 +174,37 @@ let many_channels () =
   let r = run src in
   check Alcotest.int "heap survived" 1 (List.length r.Api.outputs)
 
+(* Synchronous RPCs between two node domains on loopback, run many
+   times: every run must quiesce with every output.  Each side computes
+   for most of a pump quantum per message, so a node spends much of the
+   run holding a packet it has just read — the window in which a node
+   that marked itself busy only at the end of its loop iteration looked
+   idle to the coordinator, which then stopped runs with an RPC half
+   answered (with that order, one of the first few runs here failed). *)
+let tcp_rpc_every_output () =
+  let src =
+    {| site server {
+         def S(self) = self?{ add(a, b, k) = (W[300, k, a + b] | S[self]) }
+         and W(n, k, v) = if n == 0 then k![v] else W[n - 1, k, v]
+         in export new svc S[svc] }
+       site client { import svc from server in
+         def Loop(i) =
+           if i == 0 then io!printi[0]
+           else new k (svc!add[i, 1, k] | k?(v) = (io!printi[v] | D[300, i]))
+         and D(n, i) = if n == 0 then Loop[i - 1] else D[n - 1, i]
+         in Loop[300] } |}
+  in
+  let prog = Api.parse src in
+  let expected = List.map snd (Api.run_program prog).Api.outputs in
+  for run = 1 to 20 do
+    let r = Tcp_runner.run_program ~nodes:2 ~timeout_ms:20_000 prog in
+    if r.Tcp_runner.timed_out then Alcotest.failf "run %d timed out" run;
+    if not (Output.same_multiset expected r.Tcp_runner.outputs) then
+      Alcotest.failf "run %d: %d of %d outputs" run
+        (List.length r.Tcp_runner.outputs)
+        (List.length expected)
+  done
+
 let tests =
   [ ("deep pipeline (20 sites)", `Quick, deep_pipeline);
     ("wide fan-in (30 clients)", `Quick, wide_fan_in);
@@ -182,4 +213,5 @@ let tests =
     ("repeated shipping bounded area", `Quick, repeated_shipping_bounded_area);
     ("8-ary remote message", `Quick, large_messages);
     ("50k instantiations", `Quick, deep_recursion_classes);
-    ("2000-channel cascade", `Quick, many_channels) ]
+    ("2000-channel cascade", `Quick, many_channels);
+    ("tcp rpc: every output, every run", `Slow, tcp_rpc_every_output) ]

@@ -175,7 +175,13 @@ let wire_malformed () =
   check Alcotest.bool "bad bool" true
     (raises (fun () -> Wire.read_bool (Wire.decoder "\x07")));
   check Alcotest.bool "list length lies" true
-    (raises (fun () -> Wire.read_list (Wire.decoder "\xff\x01") Wire.read_u8))
+    (raises (fun () -> Wire.read_list (Wire.decoder "\xff\x01") Wire.read_u8));
+  (* nine varint bytes decode to -1 *)
+  let minus_one = String.make 8 '\xff' ^ "\x7f" in
+  check Alcotest.bool "negative string length" true
+    (raises (fun () -> Wire.read_string (Wire.decoder minus_one)));
+  check Alcotest.bool "negative list length" true
+    (raises (fun () -> Wire.read_list (Wire.decoder minus_one) Wire.read_u8))
 
 let wire_varint_negative () =
   check Alcotest.bool "negative rejected" true
