@@ -465,8 +465,10 @@ let tcp_flag =
 let domains_arg =
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
        ~doc:"Run the cluster sharded over N OCaml domains (nodes are \
-             assigned to domains by --placement; cross-domain packets \
-             travel in batches through lock-free SPSC rings).  1 (the \
+             assigned to domains by --placement; each domain runs the \
+             full simulated transport for its nodes, and cross-domain \
+             transmissions travel in batches through lock-free SPSC \
+             rings).  1 (the \
              default) is the deterministic single-domain scheduler, \
              bit-identical to not passing the flag at all.")
 
@@ -488,7 +490,7 @@ let rebalance_arg =
              'threshold:R' (migrate when max-over-mean domain load \
              exceeds R, default 1.5).  E.g. \
              --rebalance interval:20,threshold:1.3.  Incompatible with \
-             --trace-out; ignored at --domains 1.")
+             --trace-out and --replicated-ns; ignored at --domains 1.")
 
 let interactive_flag =
   Arg.(value & flag & info [ "i"; "interactive" ]
@@ -518,7 +520,9 @@ let metrics_out =
 let replicated_ns =
   Arg.(value & flag & info [ "replicated-ns" ]
        ~doc:"Use a per-node replicated name service instead of the \
-             centralized one (the paper's future-work design).")
+             centralized one (the paper's future-work design).  Runs at \
+             any --domains N, like tracing and the whole simulated \
+             transport; only --rebalance refuses it.")
 
 let cmd =
   Cmd.v

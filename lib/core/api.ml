@@ -72,15 +72,14 @@ let load_isolated ?placement cluster prog =
   try Cluster.load ?placement ~annotations cluster units
   with Invalid_argument m -> raise (Error (Runtime_error m))
 
+let check_types = typecheck (* the [?typecheck] flags below shadow it *)
+
 let run_program ?config ?placement ?max_events ?until ?(inputs = [])
     ?(typecheck = true) ?(isolated = false) prog =
   let annotations =
     if isolated then isolated_annotations prog else fun _ -> None
   in
-  if typecheck && not isolated then ignore (
-    try Infer.check_program prog
-    with Infer.Error e ->
-      raise (Error (Type_error (Format.asprintf "%a" Infer.pp_error e))));
+  if typecheck && not isolated then ignore (check_types prog);
   let units = compile prog in
   let cluster = Cluster.create ?config () in
   let site_inputs name =
@@ -116,88 +115,19 @@ let run_parallel ?config ?placement ?policy ?(inputs = []) ?max_events
     ?(typecheck = true) ?on_snapshot ?snapshot_every_ms ?rebalance
     ?force_migrations ~domains prog : Par_runner.result =
   if domains <= 1 then begin
-    ignore policy (* one shard: every placement map is the identity *);
-    ignore rebalance (* one shard: nowhere to migrate to *);
-    ignore force_migrations;
+    (* one shard: every placement map is the identity, and there is
+       nowhere to migrate to *)
+    ignore (policy, rebalance, force_migrations);
     let t0 = Unix.gettimeofday () in
     let r =
       run_program ?config ?placement ?max_events ~inputs ~typecheck prog
     in
-    let wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
-    let c = r.cluster in
-    let instructions =
-      List.fold_left
-        (fun acc s ->
-          acc + Tyco_support.Stats.counter_value (Site.stats s) "instructions")
-        0 (Cluster.sites c)
-    in
-    let node_weights =
-      (* per-node instruction counts, same signal the sharded engine
-         reports: lets a single-domain run seed --placement profile *)
-      let nnodes =
-        List.fold_left
-          (fun acc s -> max acc (Site.ip s + 1))
-          0 (Cluster.sites c)
-      in
-      let w = Array.make nnodes 0. in
-      List.iter
-        (fun s ->
-          w.(Site.ip s) <-
-            w.(Site.ip s)
-            +. float_of_int
-                 (Tyco_support.Stats.counter_value (Site.stats s)
-                    "instructions"))
-        (Cluster.sites c);
-      w
-    in
-    { Par_runner.outputs = r.outputs;
-      virtual_ns = r.virtual_ns;
-      packets = r.packets;
-      bytes = r.bytes;
-      same_node_fast = Cluster.same_node_fast c;
-      handoffs = 0;
-      ring_pushed = 0;
-      ring_popped = 0;
-      ring_batch_fill_mean = 0.;
-      parks = 0;
-      domains = 1;
-      instructions;
-      wall_ns;
-      dead_letters = Cluster.dead_letters c;
-      migrations = 0;
-      migration_ns = 0;
-      forwarded_envelopes = 0;
-      suspected = Cluster.suspected_failures c;
-      sites_per_shard = [| List.length (Cluster.sites c) |];
-      placement_weights = [| float_of_int (List.length (Cluster.sites c)) |];
-      node_weights;
-      events = r.sim_events;
-      clean = true;
-      timed_out = false;
-      trace = Cluster.tracer c;
-      metrics = Cluster.metrics c;
-      shard_stats =
-        [| { Par_runner.ss_shard = 0;
-             ss_sites = List.length (Cluster.sites c);
-             ss_events = r.sim_events;
-             ss_virtual_ns = r.virtual_ns;
-             ss_packets = r.packets;
-             ss_same_node = Cluster.same_node_fast c;
-             ss_handoffs_in = 0;
-             ss_ring_pushed = 0;
-             ss_ring_popped = 0;
-             ss_ring_hiwater = 0;
-             ss_parks = 0;
-             ss_drains = 0;
-             ss_weight = float_of_int (List.length (Cluster.sites c)) } |];
-      sites = Cluster.sites c }
+    Par_runner.of_cluster
+      ~wall_ns:(int_of_float ((Unix.gettimeofday () -. t0) *. 1e9))
+      r.cluster
   end
   else begin
-    if typecheck then
-      ignore (
-        try Infer.check_program prog
-        with Infer.Error e ->
-          raise (Error (Type_error (Format.asprintf "%a" Infer.pp_error e))));
+    if typecheck then ignore (check_types prog);
     let units = compile prog in
     let site_inputs name =
       Option.value ~default:[] (List.assoc_opt name inputs)

@@ -8,6 +8,7 @@ module Prng = Tyco_support.Prng
 module Trace = Tyco_support.Trace
 module Metrics = Tyco_support.Metrics
 module Dq = Tyco_support.Dq
+module Heap = Tyco_support.Heap
 
 (* The paper's first implementation uses a centralized name service;
    its stated future work is a distributed one "for reasons of both
@@ -133,6 +134,7 @@ type ack_state = { mutable ak_need : bool; mutable ak_armed : bool }
 
 type t = {
   cfg : config;
+  shard : shard option; (* [None]: the whole network, one event loop *)
   sim : Simnet.t;
   replicas : Nameservice.t array;  (* one in Centralized mode *)
   ns_ip : int;
@@ -172,6 +174,8 @@ type t = {
      batches are marked [bx_done] in place and popped lazily when they
      surface at the front. *)
   pending_batches : (int * int, bxmit Dq.t) Hashtbl.t;
+  (* a shard's pending timeouts, keyed by time; see [timer] *)
+  timeouts : (unit -> bool) Heap.t;
   ack_states : (int * int, ack_state) Hashtbl.t;
   (* fault/reliability bookkeeping *)
   stats : Stats.t;
@@ -189,6 +193,20 @@ type t = {
   d_lat_retransmit : Stats.Dist.t;
   d_batch_fill : Stats.Dist.t;
   d_flush_wait : Stats.Dist.t;
+}
+
+(* One shard of a parallel run ({!Par_runner}): this cluster owns the
+   nodes [owner] maps to [index] and runs their sites; a transmission
+   to a node of another shard leaves through [handoff] with its
+   arrival time, and runs there on that shard's cluster. *)
+and shard = {
+  index : int;
+  count : int;
+  owner : int -> int; (* node ip -> the shard that owns it now *)
+  peer : int -> t; (* shard index -> its cluster *)
+  handoff : int -> at:int -> (t -> unit) -> unit;
+  forward : int -> Trace.span -> Packet.t -> bool; (* {!Fabric.transport} *)
+  pumped : Node.t -> int -> unit; (* {!Fabric.transport} *)
 }
 
 let sim t = t.sim
@@ -281,32 +299,66 @@ type xmit = {
 (* ------------------------------------------------------------------ *)
 (* Packet transport (the TyCOd role; dispatch itself is [Fabric]).     *)
 
-(* One physical transmission over the fabric: rolls the fault dice and
-   schedules [action] once per surviving copy. *)
-let rec transmit t ~src_ip ~dst_ip ~bytes action =
+(* A transmission arriving at this cluster at virtual time [at] (or
+   now, if this cluster's clock has passed it): [act] runs on it. *)
+let arrive t ~at act =
+  t.in_flight <- t.in_flight + 1;
+  Simnet.schedule t.sim ~delay:(max 0 (at - Simnet.now t.sim)) (fun () ->
+      t.in_flight <- t.in_flight - 1;
+      act t)
+
+(* A timeout: an event that acts on the absence of something (an ack,
+   a reply) while [live ()] holds.  On a shard the other shards' clocks
+   run independently, so its absence is only real once no shard can
+   still produce it: timeouts are also tabled, for [next_timeout]. *)
+let timer t ~delay ~live f =
+  match t.shard with
+  | None -> Simnet.schedule t.sim ~delay f
+  | Some _ ->
+      let fired = ref false in
+      Heap.push t.timeouts (Simnet.now t.sim + delay) (fun () ->
+          (not !fired) && live ());
+      Simnet.schedule t.sim ~delay (fun () ->
+          fired := true;
+          f ())
+
+let rec next_timeout t =
+  match Heap.peek t.timeouts with
+  | Some (at, live) when live () -> Some at
+  | Some _ ->
+      ignore (Heap.pop t.timeouts);
+      next_timeout t
+  | None -> None
+
+(* Where one copy of a transmission lands: this cluster, or — when
+   another shard owns [dst_ip] — that shard, through the handoff. *)
+let land_copy t ~dst_ip ~delay act =
+  let at = Simnet.now t.sim + delay in
+  match t.shard with
+  | None -> arrive t ~at act
+  | Some sh ->
+      let o = sh.owner dst_ip in
+      if o = sh.index then arrive t ~at act else sh.handoff o ~at act
+
+(* One physical transmission over the fabric — the only place either
+   simulated engine schedules a cross-node transmission: rolls the
+   fault dice and lands [act] once per surviving copy.  [act] runs on
+   the receiving node's cluster and may read nothing else but
+   immutable data. *)
+let rec transmit t ~src_ip ~dst_ip ~bytes act =
   let base = Simnet.packet_delay t.sim ~src_ip ~dst_ip ~bytes in
   Stats.Dist.add_int t.d_lat_wire base;
   Metrics.observe_int t.m_wire_ns base;
-  if not (Simnet.faulted_link t.sim ~src_ip ~dst_ip) then begin
+  if not (Simnet.faulted_link t.sim ~src_ip ~dst_ip) then
     (* clean link: exactly one copy at the base delay — no verdict
        record, no delay list, no PRNG consumption *)
-    t.in_flight <- t.in_flight + 1;
-    Simnet.schedule t.sim ~delay:base (fun () ->
-        t.in_flight <- t.in_flight - 1;
-        action ())
-  end
+    land_copy t ~dst_ip ~delay:base act
   else begin
     let v = Simnet.fault_verdict t.sim ~src_ip ~dst_ip ~base_delay:base in
     Stats.Counter.add t.c_drops v.Simnet.v_dropped;
     if v.Simnet.v_duplicated then Stats.Counter.incr t.c_dupes;
     Stats.Counter.add t.c_reorders v.Simnet.v_reordered;
-    List.iter
-      (fun delay ->
-        t.in_flight <- t.in_flight + 1;
-        Simnet.schedule t.sim ~delay (fun () ->
-            t.in_flight <- t.in_flight - 1;
-            action ()))
-      v.Simnet.v_delays
+    List.iter (fun delay -> land_copy t ~dst_ip ~delay act) v.Simnet.v_delays
   end
 
 and route_ip t ~src_ip (p : Packet.t) =
@@ -351,8 +403,8 @@ and send_packet t ~src_ip ?(ctx = Trace.null_span) (p : Packet.t) =
       Metrics.add t.m_bytes bytes;
       Stats.Counter.incr t.c_frames;
       log_packet t p;
-      transmit t ~src_ip ~dst_ip ~bytes (fun () ->
-          deliver t ~at_ip:dst_ip ~ctx ~same_node:false p)
+      transmit t ~src_ip ~dst_ip ~bytes (fun c ->
+          deliver c ~at_ip:dst_ip ~ctx ~same_node:false p)
     end
   end
 
@@ -464,13 +516,13 @@ and flush_outbox t ob =
         else Trace.null_span
       in
       let dst_ip = ob.ob_dst_ip in
-      transmit t ~src_ip:ob.ob_src_ip ~dst_ip ~bytes:fbytes (fun () ->
-          if t.tr_on then
-            Trace.emit t.tracer ~ts:(Simnet.now t.sim)
+      transmit t ~src_ip:ob.ob_src_ip ~dst_ip ~bytes:fbytes (fun c ->
+          if c.tr_on then
+            Trace.emit c.tracer ~ts:(Simnet.now c.sim)
               ~track:Trace.fabric_track ~span
               (Trace.Deliver { pk = Trace.Kbatch; same_node = false });
           for i = 0 to count - 1 do
-            deliver t ~at_ip:dst_ip ~ctx:ctxs.(i) ~same_node:false pkts.(i)
+            deliver c ~at_ip:dst_ip ~ctx:ctxs.(i) ~same_node:false pkts.(i)
           done)
     end
   end
@@ -516,10 +568,11 @@ and attempt_batch t (bx : bxmit) =
     Trace.emit t.tracer ~ts:(Simnet.now t.sim) ~track:Trace.fabric_track
       ~span:bx.bx_span
       (Trace.Send { pk = Trace.Kbatch; bytes = fbytes });
-  transmit t ~src_ip:bx.bx_src_ip ~dst_ip:bx.bx_dst_ip ~bytes:fbytes
-    (fun () ->
-      receive_batch t ~src_ip:bx.bx_src_ip ~dst_ip:bx.bx_dst_ip ~base_seq
-        ~ack_floor ~span:bx.bx_span ~pkts:bx.bx_pkts ~ctxs:bx.bx_ctxs ~lo);
+  let src_ip = bx.bx_src_ip and dst_ip = bx.bx_dst_ip in
+  let span = bx.bx_span and pkts = bx.bx_pkts and ctxs = bx.bx_ctxs in
+  transmit t ~src_ip ~dst_ip ~bytes:fbytes (fun c ->
+      receive_batch c ~src_ip ~dst_ip ~base_seq ~ack_floor ~span ~pkts ~ctxs
+        ~lo);
   let r = t.cfg.retry in
   let backoff =
     int_of_float
@@ -527,7 +580,7 @@ and attempt_batch t (bx : bxmit) =
       *. (r.rto_backoff ** float_of_int (bx.bx_attempts - 1)))
   in
   let jitter = Prng.int (Simnet.prng t.sim) ((r.rto_ns / 4) + 1) in
-  Simnet.schedule t.sim ~delay:(backoff + jitter) (fun () ->
+  timer t ~delay:(backoff + jitter) ~live:(fun () -> not bx.bx_done) (fun () ->
       if not bx.bx_done then
         if bx.bx_attempts >= r.max_attempts then begin
           (* mark in place — a timed-out batch can sit mid-queue, and
@@ -594,8 +647,8 @@ and send_cum_ack t ~src_ip ~dst_ip =
     Packet.frame_byte_size (Packet.Fcum_ack { src_ip; ack_floor })
   in
   t.bytes <- t.bytes + bytes;
-  transmit t ~src_ip ~dst_ip ~bytes (fun () ->
-      apply_cum_ack t ~at_ip:dst_ip ~peer_ip:src_ip ~floor:ack_floor)
+  transmit t ~src_ip ~dst_ip ~bytes (fun c ->
+      apply_cum_ack c ~at_ip:dst_ip ~peer_ip:src_ip ~floor:ack_floor)
 
 and apply_cum_ack t ~at_ip ~peer_ip ~floor =
   if floor > 0 then
@@ -671,8 +724,9 @@ and attempt_xmit t (x : xmit) =
   end;
   t.bytes <- t.bytes + x.x_bytes;
   Stats.Counter.incr t.c_frames;
-  transmit t ~src_ip:x.x_src_ip ~dst_ip:x.x_dst_ip ~bytes:x.x_bytes (fun () ->
-      receive_frame t x);
+  (* the receiver reads only [x]'s immutable fields *)
+  transmit t ~src_ip:x.x_src_ip ~dst_ip:x.x_dst_ip ~bytes:x.x_bytes (fun c ->
+      receive_frame c x);
   let r = t.cfg.retry in
   let backoff =
     int_of_float
@@ -680,7 +734,7 @@ and attempt_xmit t (x : xmit) =
       *. (r.rto_backoff ** float_of_int (x.x_attempts - 1)))
   in
   let jitter = Prng.int (Simnet.prng t.sim) ((r.rto_ns / 4) + 1) in
-  Simnet.schedule t.sim ~delay:(backoff + jitter) (fun () ->
+  timer t ~delay:(backoff + jitter) ~live:(fun () -> not x.x_acked) (fun () ->
       if not x.x_acked then
         if x.x_attempts >= r.max_attempts then begin
           Stats.Counter.incr t.c_timeouts;
@@ -711,10 +765,11 @@ and send_ack t (x : xmit) =
   Stats.Counter.incr t.c_acks;
   Stats.Counter.incr t.c_frames;
   t.bytes <- t.bytes + Latency.ack_bytes;
+  (* the ack lands on the sender's cluster, which owns [x] *)
   transmit t ~src_ip:x.x_dst_ip ~dst_ip:x.x_src_ip ~bytes:Latency.ack_bytes
-    (fun () ->
-      if t.tr_on then
-        Trace.emit t.tracer ~ts:(Simnet.now t.sim) ~track:Trace.fabric_track
+    (fun c ->
+      if c.tr_on then
+        Trace.emit c.tracer ~ts:(Simnet.now c.sim) ~track:Trace.fabric_track
           ~span:x.x_span Trace.Ack;
       x.x_acked <- true)
 
@@ -744,23 +799,40 @@ and deliver t ~at_ip ~ctx ~same_node (p : Packet.t) =
             t.bytes <- t.bytes + bytes;
             Stats.Counter.incr t.c_frames;
             log_packet t p;
-            transmit t ~src_ip:at_ip ~dst_ip:other ~bytes (fun () ->
-                Fabric.serve t.fab ~at_ip:other ~ctx p)
+            transmit t ~src_ip:at_ip ~dst_ip:other ~bytes (fun c ->
+                Fabric.serve c.fab ~at_ip:other ~ctx p)
           end)
         t.replicas
   | _ -> ()
 
-let create ?(config = default_config) () =
+let create ?shard ?(config = default_config) () =
+  let index, count =
+    match shard with Some sh -> (sh.index, sh.count) | None -> (0, 1)
+  in
+  (* shard 0 draws the run seed's own stream, so one shard is the
+     deterministic engine; every other shard derives its own *)
+  let seed =
+    if index = 0 then config.seed
+    else
+      Int64.to_int (Prng.next (Prng.for_owner ~seed:config.seed ~owner:index))
+      land max_int
+  in
   let sim =
-    Simnet.create ~topology:config.topology ~faults:config.faults
-      ~seed:config.seed ()
+    Simnet.create ~topology:config.topology ~faults:config.faults ~seed ()
   in
   let stats = Stats.create () in
+  (* span ids strided by (shard, shards): globally unique without a
+     shared counter, and (0, 1) for a whole-network cluster *)
   let tracer =
-    Trace.create ~capacity:config.trace_capacity ~enabled:config.tracing ()
+    Trace.create ~capacity:config.trace_capacity ~span_base:index
+      ~span_stride:count ~enabled:config.tracing ()
   in
   Trace.register_track tracer ~id:Trace.fabric_track ~name:"fabric" ();
-  let mx = if config.metrics then Metrics.create ~enabled:true () else Metrics.disabled in
+  let mx =
+    if not config.metrics then Metrics.disabled
+    else if shard = None then Metrics.create ~enabled:true ()
+    else Metrics.create ~label:(Printf.sprintf "shard%d" index) ~enabled:true ()
+  in
   let replicas =
     match config.ns_mode with
     | Centralized -> [| Nameservice.create () |]
@@ -777,6 +849,7 @@ let create ?(config = default_config) () =
   let rec t =
     lazy
       { cfg = config;
+        shard;
         sim;
         replicas;
         (* in centralized mode the service lives on node 0's address, as a
@@ -795,8 +868,14 @@ let create ?(config = default_config) () =
                   send_packet (Lazy.force t) ~src_ip ~ctx p);
               (* the replica a node consults: its own in Replicated mode *)
               ns = (fun ip -> replicas.(ip mod Array.length replicas));
-              forward = (fun _ _ _ -> false);
-              pumped = (fun _ _ -> ());
+              forward =
+                (match shard with
+                | Some sh -> sh.forward
+                | None -> fun _ _ _ -> false);
+              pumped =
+                (match shard with
+                | Some sh -> sh.pumped
+                | None -> fun _ _ -> ());
               tracer };
         by_name = Hashtbl.create 16;
         next_site_id = 0;
@@ -815,6 +894,7 @@ let create ?(config = default_config) () =
         loopback_delay = Simnet.packet_delay sim ~src_ip:0 ~dst_ip:0 ~bytes:0;
         outboxes = Hashtbl.create 16;
         pending_batches = Hashtbl.create 16;
+        timeouts = Heap.create ();
         ack_states = Hashtbl.create 16;
         stats;
         c_drops = Stats.counter stats "drops";
@@ -848,48 +928,94 @@ let site_lifecycle cfg =
 (* ------------------------------------------------------------------ *)
 (* Program loading.                                                    *)
 
+let owns t ip =
+  match t.shard with None -> true | Some sh -> sh.owner ip = sh.index
+
+(* The cluster that runs node [ip]'s sites now: [t], unless [t] is a
+   shard and the node has migrated to another. *)
+let home t ip =
+  match t.shard with None -> t | Some sh -> sh.peer (sh.owner ip)
+
+let site_nodes ?placement ~nodes units =
+  let seen = Hashtbl.create 16 in
+  List.mapi
+    (fun i (name, _) ->
+      if Hashtbl.mem seen name then
+        invalid_arg (Printf.sprintf "Cluster.load: duplicate site '%s'" name);
+      Hashtbl.add seen name ();
+      match placement with
+      | Some f ->
+          let n = f name in
+          if n < 0 || n >= nodes then
+            invalid_arg
+              (Printf.sprintf "Cluster.load: site '%s' placed on node %d" name n)
+          else n
+      | None -> i mod nodes)
+    units
+
 let load ?placement ?(annotations = fun _ -> None) ?(inputs = fun _ -> [])
     t (units : (string * Tyco_compiler.Block.unit_) list) =
-  List.iteri
-    (fun i (name, unit_) ->
+  List.iter2
+    (fun (name, unit_) node_idx ->
       if Hashtbl.mem t.by_name name then
         invalid_arg (Printf.sprintf "Cluster.load: duplicate site '%s'" name);
-      let node_idx =
-        match placement with
-        | Some f ->
-            let n = f name in
-            if n < 0 || n >= Array.length t.node_arr then
-              invalid_arg
-                (Printf.sprintf "Cluster.load: site '%s' placed on node %d" name n)
-            else n
-        | None -> i mod Array.length t.node_arr
-      in
-      let node = t.node_arr.(node_idx) in
+      (* site ids follow unit order on every shard alike *)
       let site_id = t.next_site_id in
       t.next_site_id <- site_id + 1;
-      let schedule =
-        (* request deadlines need virtual timers; only armed in
-           reliable mode so the seed's park-forever semantics (and its
-           tests) are untouched by default *)
-        if t.cfg.reliable then
-          Some (fun ~delay f -> Simnet.schedule t.sim ~delay f)
-        else None
-      in
-      let site =
-        Site.create
-          ?annotations:(annotations name)
-          ~inputs:(inputs name)
-          ~retry:t.cfg.site_retry
-          ~lifecycle:(site_lifecycle t.cfg)
-          ?schedule
-          ~on_suspect:(Fabric.suspect t.fab)
-          ~trace:t.tracer ~name ~site_id ~ip:(Node.ip node)
-          ~send:(fun ctx p -> send_packet t ~src_ip:(Node.ip node) ~ctx p)
-          ~on_output:(Fabric.output t.fab)
-          ~unit_ ()
-      in
-      Hashtbl.replace t.by_name name (Fabric.load t.fab ~node site))
+      if owns t node_idx then begin
+        let node = t.node_arr.(node_idx) in
+        let ip = Node.ip node in
+        let schedule =
+          (* request deadlines need virtual timers; only armed in
+             reliable mode so the seed's park-forever semantics (and its
+             tests) are untouched by default *)
+          if t.cfg.reliable then
+            Some (fun ~delay ~live f -> timer (home t ip) ~delay ~live f)
+          else None
+        in
+        let site =
+          Site.create
+            ?annotations:(annotations name)
+            ~inputs:(inputs name)
+            ~retry:t.cfg.site_retry
+            ~lifecycle:(site_lifecycle t.cfg)
+            ?schedule
+            ~on_suspect:(fun who -> Fabric.suspect (home t ip).fab who)
+            ~trace:t.tracer ~name ~site_id ~ip
+            ~send:(fun ctx p -> send_packet (home t ip) ~src_ip:ip ~ctx p)
+            ~on_output:(fun e -> Fabric.output (home t ip).fab e)
+            ~unit_ ()
+        in
+        Hashtbl.replace t.by_name name (Fabric.load t.fab ~node site)
+      end)
     units
+    (site_nodes ?placement ~nodes:(Array.length t.node_arr) units)
+
+(* Migration (parallel runs only).  The node's outboxes are flushed
+   before it leaves, because the flush draws sequence numbers from the
+   node; its sites leave the table, and pump events already scheduled
+   for them do nothing. *)
+let release_node t ip =
+  let node = t.node_arr.(ip) in
+  match List.filter (fun w -> w.Fabric.node == node) (Fabric.wrappers t.fab) with
+  | [] -> None
+  | mine ->
+      Hashtbl.iter
+        (fun (src, _) ob -> if src = ip then flush_outbox t ob)
+        t.outboxes;
+      List.iter (Fabric.retire t.fab) mine;
+      Some (node, List.map (fun w -> w.Fabric.site) mine)
+
+let adopt_node t node sites =
+  t.node_arr.(Node.ip node) <- node;
+  Node.reset_cores node;
+  List.iter
+    (fun s ->
+      let w = Fabric.adopt t.fab ~node s in
+      if Site.busy s then Fabric.request_pump t.fab w ~delay:0)
+    sites
+
+let deliver t ~at_ip ~ctx p = deliver t ~at_ip ~ctx ~same_node:false p
 
 (* ------------------------------------------------------------------ *)
 (* Execution.                                                          *)

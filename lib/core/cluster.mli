@@ -112,7 +112,30 @@ type config = {
 
 val default_config : config
 
-val create : ?config:config -> unit -> t
+(** One shard of a parallel run: what {!Par_runner} hands a cluster
+    that owns only some of the nodes.  Node ips still index the whole
+    network. *)
+type shard = {
+  index : int;  (** this shard *)
+  count : int;  (** shards in the run *)
+  owner : int -> int;  (** node ip -> the shard that owns it now *)
+  peer : int -> t;  (** shard index -> its cluster *)
+  handoff : int -> at:int -> (t -> unit) -> unit;
+      (** [handoff s ~at act]: a transmission for a node of shard [s],
+          arriving at virtual time [at]; [act] must run on [s]'s
+          cluster (see {!arrive}) *)
+  forward :
+    int -> Tyco_support.Trace.span -> Tyco_net.Packet.t -> bool;
+      (** a packet for a site id this shard does not host *)
+  pumped : Node.t -> int -> unit;  (** the cost of every pump quantum *)
+}
+(** [forward] and [pumped] are {!Fabric.transport}'s. *)
+
+val create : ?shard:shard -> ?config:config -> unit -> t
+(** Without [shard], the whole network on one deterministic event
+    loop.  With it, the cluster loads and runs only the sites of the
+    nodes it owns; shard 0 keeps [config.seed], every other shard
+    derives its own stream from it. *)
 
 val site_lifecycle : config -> Site.lifecycle
 (** The lease and code-cache settings of [config] as every site of a
@@ -136,6 +159,12 @@ val site : t -> string -> Site.t
 
 val sites : t -> Site.t list
 val nodes : t -> Node.t list
+
+val site_nodes :
+  ?placement:(string -> int) -> nodes:int -> (string * 'a) list -> int list
+(** The node {!load} puts each unit's site on, in a network of [nodes]
+    nodes; raises [Invalid_argument] on a duplicate site name or a
+    node out of range. *)
 
 (** {1 Execution} *)
 
@@ -229,6 +258,30 @@ val metrics : t -> Tyco_support.Metrics.t
 (** The run's metrics registry — the disabled singleton unless
     [config.metrics]; export with {!Tyco_support.Metrics.to_prom} or
     {!Tyco_support.Metrics.to_json}. *)
+
+(** {1 Shards (parallel runs)} *)
+
+val arrive : t -> at:int -> (t -> unit) -> unit
+(** A transmission handed over by another shard: [act] runs on this
+    cluster at virtual time [at], or now if its clock has passed
+    [at]. *)
+
+val deliver :
+  t -> at_ip:int -> ctx:Tyco_support.Trace.span -> Tyco_net.Packet.t -> unit
+(** A packet arrived at node [at_ip] over the fabric. *)
+
+val next_timeout : t -> int option
+(** The time of this shard's earliest pending timeout that would still
+    act — a retransmission give-up or a request deadline: it may only
+    run once no other shard can still produce what it waits for.
+    Always [None] without a shard. *)
+
+val release_node : t -> int -> (Node.t * Site.t list) option
+(** Node [ip] leaves this shard: its outboxes are flushed and its
+    sites leave the table.  [None] when it has no sites here. *)
+
+val adopt_node : t -> Node.t -> Site.t list -> unit
+(** A released node joins this shard; its busy sites get a pump. *)
 
 (** {1 Internals exposed for the experiment harness} *)
 

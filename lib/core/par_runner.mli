@@ -1,56 +1,54 @@
 (** Parallel execution engine: the simulated cluster sharded over
     OCaml 5 domains.
 
-    Which nodes a shard owns is decided by a {!Placement} policy
-    ([ip mod domains] by default; greedy bin-packing over site counts
-    or profiled node weights when the caller opts in) — plus
-    everything beneath them: sites, VMs, export tables, intern areas,
-    statistics, and the shard's own {!Tyco_net.Simnet} (clock, heap,
-    PRNG, derived from the run seed per owner).  Cross-shard packets
-    travel as envelope {e batches} through one bounded lock-free
-    {!Tyco_support.Spsc_ring} per ordered shard pair: each shard
-    coalesces same-destination envelopes and flushes each buffer as
-    one ring element at its step/park boundary (or when it reaches the
-    batch cap), so one ring push, one in-flight increment and one
-    consumer pop amortize over the whole batch.  The PR 2 same-node
-    fast path is preserved intact inside each shard.  A handed-off
-    packet sent at sender-virtual time [s] with wire delay [d] is
-    delivered at receiver-virtual time [max (receiver now) (s + d)],
-    so delivery timestamps stay monotone per receiver.
+    Each shard is a {!Cluster} that owns some of the nodes — which
+    ones is decided by a {!Placement} policy ([ip mod domains] by
+    default; greedy bin-packing over site counts or profiled node
+    weights when the caller opts in) — with their sites, VMs,
+    outboxes, reliability state, name-service replicas, simulator
+    (clock, heap, PRNG derived from the run seed per shard), tracer
+    and metrics.  The cluster's transport runs unchanged on each
+    shard: batching, sequence/ack reliability, fault injection and
+    replica propagation included.  A transmission whose destination
+    node another shard owns leaves [Cluster.transmit] through the
+    shard's handoff: transmissions are coalesced per destination and
+    flushed as one element of a bounded lock-free
+    {!Tyco_support.Spsc_ring} (one per ordered shard pair) at the
+    shard's step/park boundary, and the receiving shard runs each on
+    its own cluster at receiver time [max (receiver now) (arrival
+    time)], so delivery timestamps stay monotone per receiver.
 
-    This engine preserves the deterministic engine's output {e sets};
-    output {e timestamps} (and their order) depend on domain
-    interleaving.  [--domains 1] therefore dispatches to {!Cluster},
-    not here — see {!Api.run_parallel}.
+    With one domain this is the deterministic engine, event for event.
+    With more, it preserves the deterministic engine's output
+    {e multisets}; output {e timestamps} (and their order) depend on
+    domain interleaving.  A timeout that acts on a missing ack or
+    reply (a retransmission give-up, a request deadline) runs only
+    once no other shard can still send what it waits for.
 
-    Observability: when [config.tracing] each shard owns a private
-    {!Tyco_support.Trace} collector whose span ids stride by the
-    domain count ([span_base = shard], [span_stride = domains]) so
-    they are globally unique without a shared counter; envelopes carry
+    Observability: each shard's tracer strides its span ids by the
+    domain count ([span_base = shard], [span_stride = domains]) so they
+    are globally unique without a shared counter; transmissions carry
     the sending span, and the collectors are folded with
     {!Tyco_support.Trace.merge} into one shard-tagged archive at
-    quiescence.  When [config.metrics] each shard owns a private
-    {!Tyco_support.Metrics} registry, merged the same way.  Both are
-    the disabled singletons when off, so every instrumentation point
-    on the hot path costs one load-and-branch.
+    quiescence.  Each shard's metrics registry is merged the same way.
 
-    Dynamic rebalancing (PR 10): node ownership can change mid-run.
-    The node-to-shard map is an indirection table of atomics; the
+    Dynamic rebalancing: node ownership can change mid-run.  The
+    node-to-shard map is an indirection table of atomics; the
     coordinator watches per-node load and, past a threshold, has the
     owning shard {e ship} the node through the ordinary rings as a
-    migration element.  One [g_inflight] unit is held from ship to
-    install (quiescence stays exact with a node in transit), packets
-    that arrive at the old owner are {e forwarded} along the table,
-    and packets that race ahead of the envelope park in the receiving
+    migration element.  One in-flight unit is held from ship to install
+    (quiescence stays exact with a node in transit), packets that
+    arrive at the old owner are {e forwarded} along the table, and
+    packets that race ahead of the element park in the receiving
     shard's limbo until the install drains them.  Totals are exported
     as [migrations] / [migration_ns] / [forwarded_envelopes].
 
-    Configs requesting machinery the rings make redundant (reliable
-    delivery, fault injection, replicated name service) are rejected
-    with [Invalid_argument]: those modes belong to the deterministic
-    single-domain engine.  So is tracing combined with rebalancing: a
-    site's trace collector is captured at creation and cannot follow
-    the site across domains. *)
+    Migration moves a node's sites but not the state their cluster
+    keeps for them, so rebalancing and forced migration are rejected
+    with [Invalid_argument] together with tracing (a site's trace
+    collector), reliable delivery (unacked batches and retransmit
+    timers) and the replicated name service (replicas).  Every other
+    mode runs at any domain count. *)
 
 exception Shard_failure of int * string
 (** An exception that escaped one shard's domain, re-raised at join as
@@ -67,7 +65,7 @@ type shard_stat = {
   ss_virtual_ns : int;   (** the shard clock at quiescence *)
   ss_packets : int;
   ss_same_node : int;
-  ss_handoffs_in : int;  (** envelopes this shard received *)
+  ss_handoffs_in : int;  (** transmissions this shard received *)
   ss_ring_pushed : int;  (** ring elements this shard pushed outbound *)
   ss_ring_popped : int;  (** ring elements this shard consumed *)
   ss_ring_hiwater : int; (** max outbound-ring occupancy at push *)
@@ -84,7 +82,7 @@ type snapshot = {
   sn_wall_ms : float;
   sn_inflight : int;
   sn_executed : int array;  (** per shard, monotone *)
-  sn_pending : int array;   (** per-shard heap sizes *)
+  sn_pending : int array;   (** per-shard published work counts *)
   sn_ring_pushed : int;     (** ring elements *)
   sn_ring_popped : int;
   sn_migrations : int;      (** node installs completed so far *)
@@ -109,12 +107,12 @@ type result = {
   packets : int;
   bytes : int;
   same_node_fast : int;
-  handoffs : int;  (** envelopes delivered through rings *)
+  handoffs : int;  (** transmissions delivered through rings *)
   ring_pushed : int;
       (** total ring pushes, i.e. batches (= pops after a clean run) *)
   ring_popped : int;
   ring_batch_fill_mean : float;
-      (** mean envelopes per ring push — how well handoff batching
+      (** mean transmissions per ring push — how well handoff batching
           amortized the per-push synchronization; 0 when nothing was
           handed off *)
   parks : int;  (** idle/backpressure parks across all shards *)
@@ -157,6 +155,10 @@ type result = {
           [Domain.join] happened before the result was built *)
 }
 
+val of_cluster : wall_ns:int -> Cluster.t -> result
+(** The result of a plain deterministic run, built by the same merge
+    as a sharded one: one shard, no rings. *)
+
 val run :
   ?config:Cluster.config ->
   ?placement:(string -> int) ->
@@ -192,4 +194,5 @@ val run :
     spawn and are guaranteed to complete in a clean run.  Node 0 (the
     name-service host) cannot move; out-of-range entries raise
     [Invalid_argument], as does combining either option with
-    [config.tracing]. *)
+    [config.tracing], [config.reliable] or the replicated name
+    service. *)

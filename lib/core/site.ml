@@ -139,7 +139,7 @@ type t = {
   (* request recovery; deadlines are armed only when the runtime
      provides a timer facility *)
   retry : retry;
-  schedule : (delay:int -> (unit -> unit) -> unit) option;
+  schedule : (delay:int -> live:(unit -> bool) -> (unit -> unit) -> unit) option;
   on_suspect : string -> unit;
   (* receiver-side linking caches: origin code key -> linked index;
      capacity-bounded, a miss re-fetches (the origin still has the
@@ -472,8 +472,9 @@ let rec arm_fetch_deadline t req_id =
       match Hashtbl.find_opt t.fetch_reqs req_id with
       | None -> ()
       | Some fr ->
-          sched ~delay:(rto t ~req_id ~tries:fr.fr_tries) (fun () ->
-              fetch_deadline t req_id))
+          sched ~delay:(rto t ~req_id ~tries:fr.fr_tries)
+            ~live:(fun () -> t.alive && Hashtbl.mem t.fetch_reqs req_id)
+            (fun () -> fetch_deadline t req_id))
 
 and fetch_deadline t req_id =
   if t.alive then
@@ -508,8 +509,9 @@ let rec arm_import_deadline t req_id ~is_class =
       match Hashtbl.find_opt t.import_reqs req_id with
       | None -> ()
       | Some ir ->
-          sched ~delay:(rto t ~req_id ~tries:ir.ir_tries) (fun () ->
-              import_deadline t req_id ~is_class))
+          sched ~delay:(rto t ~req_id ~tries:ir.ir_tries)
+            ~live:(fun () -> t.alive && Hashtbl.mem t.import_reqs req_id)
+            (fun () -> import_deadline t req_id ~is_class))
 
 and import_deadline t req_id ~is_class =
   if t.alive then

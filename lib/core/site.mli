@@ -84,7 +84,7 @@ val create :
   ?inputs:int list ->
   ?retry:retry ->
   ?lifecycle:lifecycle ->
-  ?schedule:(delay:int -> (unit -> unit) -> unit) ->
+  ?schedule:(delay:int -> live:(unit -> bool) -> (unit -> unit) -> unit) ->
   ?on_suspect:(string -> unit) ->
   ?trace:Tyco_support.Trace.t ->
   name:string ->
@@ -101,7 +101,7 @@ val create :
     recorded locally).  [schedule] provides virtual timers: when
     present, outstanding FETCH and import requests are given deadlines
     per [retry] (without it, the seed behaviour: requests wait
-    forever).  [on_suspect] hears the description of the peer each time
+    forever); [live] says whether a deadline would still act.  [on_suspect] hears the description of the peer each time
     a request is abandoned.  [trace] is the run's event collector
     (default {!Tyco_support.Trace.disabled}); the site registers a
     track named after itself and emits its VM and protocol events

@@ -98,6 +98,7 @@ type node = {
   mutable parks : int;
   mutable malformed : int; (* connections dropped for a bad frame *)
   mutable dead_letters : int; (* packets for no live site of this node *)
+  mutable failure : string option; (* what stopped this node's loop *)
   (* node-confined metrics registry (the ad-hoc park/retry counters,
      folded): only this node's domain bumps it; merged after join *)
   mx : Metrics.t;
@@ -278,46 +279,55 @@ let park node ~timeout =
 
 let node_loop shared node () =
   let backoff = ref park_min in
-  while not (Atomic.get shared.stop) do
-    let worked = ref false in
-    (* accept new connections *)
-    (match Unix.accept node.listen with
-    | fd, _ ->
-        Unix.set_nonblock fd;
-        node.accepted <- (fd, buf_create ()) :: node.accepted;
-        worked := true
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
-    (* read from peers *)
-    node.accepted <- List.filter (read_peer shared node ~worked) node.accepted;
-    (* locally queued packets (self-routed name-service traffic) *)
-    while not (Queue.is_empty node.inbox) do
-      worked := true;
-      let p, ctx = Queue.pop node.inbox in
-      deliver shared node ~ctx p
-    done;
-    (* run the sites *)
-    List.iter
-      (fun s ->
-        if Site.busy s then begin
-          worked := true;
-          ignore (Site.pump s ~quantum:2048)
-        end)
-      node.sites;
-    (* everything the sites and the NS queued this iteration leaves
-       now, one write per peer *)
-    flush_tx shared node;
-    let busy =
-      List.exists (fun s -> Site.busy s || Site.outstanding s > 0) node.sites
-      || not (Queue.is_empty node.inbox)
-      || Hashtbl.fold (fun _ tx acc -> acc || tx.len > 0) node.tx false
-    in
-    Atomic.set node.idle (not busy);
-    if !worked then backoff := park_min
-    else begin
-      park node ~timeout:!backoff;
-      backoff := Float.min park_max (!backoff *. 2.)
-    end
-  done;
+  (try
+     while not (Atomic.get shared.stop) do
+       let worked = ref false in
+       (* accept new connections *)
+       (match Unix.accept node.listen with
+       | fd, _ ->
+           Unix.set_nonblock fd;
+           node.accepted <- (fd, buf_create ()) :: node.accepted;
+           worked := true
+       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
+       (* read from peers *)
+       node.accepted <- List.filter (read_peer shared node ~worked) node.accepted;
+       (* locally queued packets (self-routed name-service traffic) *)
+       while not (Queue.is_empty node.inbox) do
+         worked := true;
+         let p, ctx = Queue.pop node.inbox in
+         deliver shared node ~ctx p
+       done;
+       (* run the sites *)
+       List.iter
+         (fun s ->
+           if Site.busy s then begin
+             worked := true;
+             ignore (Site.pump s ~quantum:2048)
+           end)
+         node.sites;
+       (* everything the sites and the NS queued this iteration leaves
+          now, one write per peer *)
+       flush_tx shared node;
+       let busy =
+         List.exists (fun s -> Site.busy s || Site.outstanding s > 0) node.sites
+         || not (Queue.is_empty node.inbox)
+         || Hashtbl.fold (fun _ tx acc -> acc || tx.len > 0) node.tx false
+       in
+       Atomic.set node.idle (not busy);
+       if !worked then backoff := park_min
+       else begin
+         park node ~timeout:!backoff;
+         backoff := Float.min park_max (!backoff *. 2.)
+       end
+     done
+   with e ->
+     (* a node that fails stops the whole run; [run] reports it *)
+     node.failure <-
+       Some
+         (match e with
+         | Failure m | Site.Protocol_error m | Tyco_vm.Machine.Error m -> m
+         | e -> Printexc.to_string e);
+     Atomic.set shared.stop true);
   (* teardown *)
   Hashtbl.iter (fun _ fd -> try Unix.close fd with Unix.Unix_error _ -> ()) node.peers;
   List.iter
@@ -369,6 +379,7 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
       parks = 0;
       malformed = 0;
       dead_letters = 0;
+      failure = None;
       mx;
       m_parks = Metrics.counter mx "parks";
       m_packets = Metrics.counter mx "packets";
@@ -422,6 +433,16 @@ let run ?(nodes = 4) ?base_port ?(inputs = fun _ -> [])
     end
   done;
   List.iter Domain.join doms;
+  Array.iter
+    (fun n ->
+      Option.iter
+        (fun m ->
+          raise
+            (Api.Error
+               (Api.Runtime_error
+                  (Printf.sprintf "node %d failed: %s" n.node_id m))))
+        n.failure)
+    node_arr;
   let wall_ns =
     int_of_float ((Unix.gettimeofday () -. started) *. 1e9)
   in

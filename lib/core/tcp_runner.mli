@@ -63,7 +63,9 @@ val run :
     derived from the process id), run until global quiescence or
     [timeout_ms] (default 10_000).  [metrics] (default [false]) gives
     each node a {!Tyco_support.Metrics} registry, merged into
-    [result.metrics] after the join. *)
+    [result.metrics] after the join.  An exception in a node's loop
+    stops every node and raises [Api.Error (Runtime_error "node N
+    failed: ...")]. *)
 
 val run_program :
   ?nodes:int -> ?base_port:int -> ?timeout_ms:int -> ?metrics:bool ->

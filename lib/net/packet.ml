@@ -270,7 +270,9 @@ let decode_ctx dec =
         let trace_id = Wire.read_varint dec in
         let span_id = Wire.read_varint dec in
         let parent_id = Wire.read_varint dec in
-        Some { Trace.trace_id; span_id; parent_id }
+        let sp = { Trace.trace_id; span_id; parent_id } in
+        (* the encoders never write a null span: it means no context *)
+        if Trace.is_null sp then None else Some sp
     | _ -> None (* later trailer version: skip what we can't parse *)
 
 let encode_traced ?ctx enc p =

@@ -150,4 +150,5 @@ let run t ?(max_events = 10_000_000) () =
   t.processed - start
 
 let events_processed t = t.processed
+let pending t = Heap.length t.queue
 let next_time t = Heap.peek_key t.queue

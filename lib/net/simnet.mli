@@ -101,3 +101,6 @@ val next_time : t -> int option
 (** Timestamp of the next pending event. *)
 
 val events_processed : t -> int
+
+val pending : t -> int
+(** Events scheduled and not yet processed. *)

@@ -63,3 +63,6 @@ let pop t =
   end
 
 let peek_key t = if t.len = 0 then None else Some t.buf.(0).key
+
+let peek t =
+  if t.len = 0 then None else Some (t.buf.(0).key, t.buf.(0).value)

@@ -13,3 +13,4 @@ val pop : 'a t -> (int * 'a) option
 (** Smallest key; among equal keys, insertion order. *)
 
 val peek_key : 'a t -> int option
+val peek : 'a t -> (int * 'a) option

@@ -547,6 +547,18 @@ let deserialize s =
         { ev_ts; ev_dur; ev_track;
           ev_span = { trace_id; span_id; parent_id }; ev_kind })
   in
+  (* [serialize] writes each track once and the events in time order;
+     anything else did not come from it *)
+  let ids = List.map fst ar_tracks in
+  if List.length (List.sort_uniq compare ids) <> List.length ids then
+    raise (Wire.Malformed "trace archive: duplicate track");
+  ignore
+    (List.fold_left
+       (fun prev ev ->
+         if ev.ev_ts < prev then
+           raise (Wire.Malformed "trace archive: events out of order");
+         ev.ev_ts)
+       0 ar_events);
   { ar_tracks; ar_shards; ar_dropped; ar_events }
 
 let of_archive ar =

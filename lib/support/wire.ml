@@ -148,7 +148,7 @@ let read_u8 d =
   d.pos <- d.pos + 1;
   c
 
-let read_varint d =
+let read_raw_varint d =
   let rec go shift acc =
     if shift > Sys.int_size then fail "varint: overflow";
     let b = read_u8 d in
@@ -157,8 +157,15 @@ let read_varint d =
   in
   go 0 0
 
+(* [varint] never writes a negative; a 9-byte pattern that decodes to
+   one is not something it wrote *)
+let read_varint d =
+  let v = read_raw_varint d in
+  if v < 0 then fail "varint: negative";
+  v
+
 let read_zint d =
-  let z = read_varint d in
+  let z = read_raw_varint d in
   (z lsr 1) lxor (-(z land 1))
 
 let read_bool d =
@@ -177,14 +184,14 @@ let read_float d =
 
 let read_string d =
   let len = read_varint d in
-  if len < 0 || len > remaining d then fail "string: truncated";
+  if len > remaining d then fail "string: truncated";
   let s = String.sub d.data d.pos len in
   d.pos <- d.pos + len;
   s
 
 let read_list d f =
   let len = read_varint d in
-  if len < 0 || len > remaining d then fail "list: length exceeds input";
+  if len > remaining d then fail "list: length exceeds input";
   List.init len (fun _ -> f d)
 
 let read_option d f =

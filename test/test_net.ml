@@ -108,6 +108,115 @@ let packet_size_is_wire_size =
        gen_packet (fun p ->
          Packet.byte_size p = String.length (Packet.to_string p)))
 
+(* ------------------------------------------------------------------ *)
+(* Decoder mutation fuzzing                                            *)
+
+(* LEB128 over the raw bit pattern, as [Wire] writes varints: a
+   negative int takes 9 bytes. *)
+let leb128 v =
+  let b = Buffer.create 9 in
+  let rec go v =
+    if v >= 0 && v < 0x80 then Buffer.add_char b (Char.chr v)
+    else begin
+      Buffer.add_char b (Char.chr (0x80 lor (v land 0x7f)));
+      go (v lsr 7)
+    end
+  in
+  go v;
+  Buffer.contents b
+
+(* One to four mutations of a valid encoding: a bit flip, a truncation,
+   a splice of bytes from another encoding, or a varint written over
+   the bytes at some offset (lengths and counts included). *)
+let gen_mutant seeds =
+  let open QCheck2.Gen in
+  let clamp s i = if s = "" then 0 else i mod String.length s in
+  let mutate s =
+    let n = String.length s in
+    oneof
+      [ map2
+          (fun i bit ->
+            if n = 0 then s
+            else begin
+              let b = Bytes.of_string s in
+              let i = clamp s i in
+              Bytes.set b i (Char.chr (Char.code s.[i] lxor (1 lsl bit)));
+              Bytes.to_string b
+            end)
+          nat (int_bound 7);
+        map (fun i -> String.sub s 0 (clamp s i)) nat;
+        map3
+          (fun other i j ->
+            let at = if n = 0 then 0 else i mod (n + 1) in
+            let from = clamp other j in
+            let piece = String.sub other from (String.length other - from) in
+            String.sub s 0 at ^ piece)
+          (oneofl seeds) nat nat;
+        map3
+          (fun i width v ->
+            let at = clamp s i in
+            let stop = min n (at + width) in
+            String.sub s 0 at ^ leb128 v ^ String.sub s stop (n - stop))
+          nat (int_range 0 3)
+          (oneof
+             [ small_signed_int; int;
+               oneofl [ -1; min_int; max_int; 0x7f; 0x80; 1 lsl 24 ] ]) ]
+  in
+  let* seed = oneofl seeds in
+  let* rounds = int_range 1 4 in
+  let rec go k s = if k = 0 then return s else mutate s >>= go (k - 1) in
+  go rounds seed
+
+(* A decoder either returns a value that survives re-encoding, or
+   raises [Wire.Malformed]; anything else is a decoder defect. *)
+let decoder_fuzz ~name ~seeds ~decode ~encode =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 20261017 |])
+    (QCheck2.Test.make ~name ~count:3000 ~print:String.escaped
+       (gen_mutant seeds) (fun s ->
+         match decode s with
+         | v -> decode (encode v) = v
+         | exception Wire.Malformed _ -> true))
+
+let sample_packets =
+  QCheck2.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:40 gen_packet
+
+let sample_span =
+  { Tyco_support.Trace.trace_id = 3; span_id = 11; parent_id = 5 }
+
+let packet_decoder_fuzz =
+  decoder_fuzz ~name:"packet decoder under mutation"
+    ~seeds:
+      (List.concat_map
+         (fun p ->
+           [ Packet.to_string p; Packet.to_string_traced ~ctx:sample_span p ])
+         sample_packets)
+    ~decode:Packet.of_string_traced
+    ~encode:(fun (p, ctx) -> Packet.to_string_traced ?ctx p)
+
+let frame_decoder_fuzz =
+  let frames =
+    List.concat
+      (List.mapi
+         (fun i p ->
+           [ Packet.Fdata { src_ip = i; seq = i * 3; payload = p };
+             Packet.Fack { src_ip = i; seq = 1000 + i };
+             Packet.Fcum_ack { src_ip = i; ack_floor = i * 7 };
+             Packet.Fbatch
+               { src_ip = i; base_seq = 200 + i; ack_floor = i;
+                 payloads = List.filteri (fun j _ -> j <= i mod 5) sample_packets } ])
+         (List.filteri (fun i _ -> i < 10) sample_packets))
+  in
+  decoder_fuzz ~name:"frame decoder under mutation"
+    ~seeds:
+      (List.concat_map
+         (fun f ->
+           [ Packet.frame_to_string f;
+             Packet.frame_to_string_traced ~ctx:sample_span f ])
+         frames)
+    ~decode:Packet.frame_of_string_traced
+    ~encode:(fun (f, ctx) -> Packet.frame_to_string_traced ?ctx f)
+
 (* Deterministic companion to the property above: one sample of every
    packet and frame constructor, so a size-arithmetic bug in a rarely
    generated branch fails by name rather than by shrunk counterexample.
@@ -534,6 +643,8 @@ let tests =
     ("latency custom formula", `Quick, latency_custom);
     packet_roundtrip;
     packet_size_is_wire_size;
+    packet_decoder_fuzz;
+    frame_decoder_fuzz;
     ("byte_size per constructor", `Quick, packet_size_every_constructor);
     ("batch size without materializing", `Quick, batch_size_no_materialize);
     ("batch version byte rejected", `Quick, batch_version_rejected);

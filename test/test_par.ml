@@ -171,29 +171,33 @@ let domains1_bit_identical () =
         det.Api.virtual_ns par.Par_runner.virtual_ns)
     corpus
 
+(* The replicated name service is one more input: each shard's cluster
+   holds the replicas of its own nodes, and registrations propagate
+   across shards like any other transmission. *)
 let multiset_equivalence () =
   List.iter
-    (fun (name, src) ->
-      let prog = Api.parse src in
-      let det =
-        Api.run_program ~config ~placement:placement_spread prog
-      in
-      let reference = event_multiset det.Api.outputs in
+    (fun config ->
       List.iter
-        (fun d ->
-          let par =
-            Api.run_parallel ~config ~placement:placement_spread ~domains:d
-              prog
-          in
-          check
-            Alcotest.(list string)
-            (Printf.sprintf "%s at %d domains" name d)
-            reference
-            (event_multiset par.Par_runner.outputs);
-          if par.Par_runner.timed_out then
-            Alcotest.failf "%s: timed out at %d domains" name d)
-        domain_counts)
-    corpus
+        (fun (name, src) ->
+          let prog = Api.parse src in
+          let det = Api.run_program ~config ~placement:placement_spread prog in
+          let reference = event_multiset det.Api.outputs in
+          List.iter
+            (fun d ->
+              let par =
+                Api.run_parallel ~config ~placement:placement_spread
+                  ~domains:d prog
+              in
+              check
+                Alcotest.(list string)
+                (Printf.sprintf "%s at %d domains" name d)
+                reference
+                (event_multiset par.Par_runner.outputs);
+              if par.Par_runner.timed_out then
+                Alcotest.failf "%s: timed out at %d domains" name d)
+            domain_counts)
+        corpus)
+    [ config; { config with Cluster.ns_mode = Cluster.Replicated } ]
 
 let shipped_samples_equivalence () =
   (* the examples corpus, minus seti.tyco (perpetual: it exhausts any
@@ -690,24 +694,148 @@ let rebalance_rejects_tracing () =
   | _ -> Alcotest.fail "tracing + forced migration accepted"
   | exception Api.Error (Api.Runtime_error _) -> ()
 
-let rejects_deterministic_only_modes () =
+(* Migration moves a node's sites but not the state their shard's
+   cluster keeps for them, so it is refused together with tracing
+   (above), reliable delivery and the replicated name service; without
+   migration every mode runs sharded. *)
+let rejects_migration_with_shard_state () =
   (* the Par_runner contract is Invalid_argument; Api.run_parallel
      re-wraps it as Api.Error like every other runtime failure *)
   let units = Api.compile (Api.parse "io!printi[1]") in
   List.iter
     (fun (what, config) ->
-      (match Par_runner.run ~config ~domains:2 units with
+      (match
+         Par_runner.run ~config ~domains:2 ~force_migrations:[ (1, 0) ] units
+       with
       | _ -> Alcotest.failf "%s: expected Invalid_argument" what
       | exception Invalid_argument _ -> ());
-      match Api.run_parallel ~config ~domains:2 (Api.parse "io!printi[1]") with
+      (match
+         Api.run_parallel ~config ~domains:2
+           ~rebalance:{ Par_runner.rb_interval_ms = 10; rb_threshold = 1.5 }
+           (Api.parse "io!printi[1]")
+       with
       | _ -> Alcotest.failf "%s: expected Api.Error" what
-      | exception Api.Error _ -> ())
-    [ ( "replicated ns",
-        { Cluster.default_config with Cluster.ns_mode = Cluster.Replicated } );
-      ( "faults",
-        { Cluster.default_config with
-          Cluster.faults =
-            { Tyco_net.Simnet.no_faults with Tyco_net.Simnet.drop = 0.1 } } ) ]
+      | exception Api.Error _ -> ());
+      let r = Par_runner.run ~config ~domains:2 units in
+      check Alcotest.int (what ^ " without migration runs") 1
+        (List.length r.Par_runner.outputs))
+    [ ("reliable", { Cluster.default_config with Cluster.reliable = true });
+      ( "replicated ns",
+        { Cluster.default_config with Cluster.ns_mode = Cluster.Replicated } ) ]
+
+(* ------------------------------------------------------------------ *)
+(* The cluster transport on every shard                                *)
+
+let lossy =
+  { Tyco_net.Simnet.no_faults with
+    Tyco_net.Simnet.drop = 0.2;
+    duplicate = 0.1;
+    reorder = 0.3;
+    reorder_ns = 50_000 }
+
+(* Reliable delivery over drop/duplicate/reorder faults: every shard
+   runs the cluster's sequence/ack machinery, so each program prints
+   its fault-free output multiset, exactly once, at every domain
+   count.  Retransmissions show up as extra frame bytes. *)
+let reliable_faults_equivalence () =
+  let reliable = { config with Cluster.reliable = true } in
+  let extra_bytes = ref 0 in
+  List.iter
+    (fun (name, src) ->
+      let prog = Api.parse src in
+      let reference =
+        event_multiset
+          (Api.run_program ~config ~placement:placement_spread prog).Api.outputs
+      in
+      List.iter
+        (fun d ->
+          let clean =
+            Api.run_parallel ~config:reliable ~placement:placement_spread
+              ~domains:d prog
+          in
+          List.iter
+            (fun seed ->
+              let par =
+                Api.run_parallel
+                  ~config:{ reliable with Cluster.faults = lossy; seed }
+                  ~placement:placement_spread ~domains:d prog
+              in
+              let label =
+                Printf.sprintf "%s reliable+faults at %d domains, seed %d" name
+                  d seed
+              in
+              check Alcotest.(list string) label reference
+                (event_multiset par.Par_runner.outputs);
+              check Alcotest.bool (label ^ " clean") true par.Par_runner.clean;
+              check Alcotest.int (label ^ " no dead letters") 0
+                par.Par_runner.dead_letters;
+              extra_bytes :=
+                !extra_bytes + par.Par_runner.bytes - clean.Par_runner.bytes)
+            [ 7; 1234; 99991 ])
+        domain_counts)
+    corpus;
+  check Alcotest.bool "faults forced retransmissions" true (!extra_bytes > 0)
+
+(* [Par_runner.run] at one domain is the deterministic engine, event
+   for event: one shard owns every node and draws the run seed. *)
+let one_shard_is_the_cluster () =
+  List.iter
+    (fun (what, config) ->
+      List.iter
+        (fun (name, src) ->
+          let units = Api.compile (Api.parse src) in
+          let c = Cluster.create ~config () in
+          Cluster.load ~placement:placement_spread c units;
+          Cluster.run c;
+          let par =
+            Par_runner.run ~config ~placement:placement_spread ~domains:1 units
+          in
+          let label = Printf.sprintf "%s (%s)" name what in
+          if Cluster.outputs c <> par.Par_runner.outputs then
+            Alcotest.failf "%s: outputs or timestamps differ" label;
+          check Alcotest.int (label ^ " virtual_ns") (Cluster.virtual_time c)
+            par.Par_runner.virtual_ns;
+          check Alcotest.int (label ^ " packets") (Cluster.packets_sent c)
+            par.Par_runner.packets;
+          check Alcotest.int (label ^ " bytes") (Cluster.bytes_sent c)
+            par.Par_runner.bytes)
+        corpus)
+    [ ("default", config);
+      ( "reliable+faults",
+        { config with Cluster.reliable = true; faults = lossy } ) ]
+
+(* A node migrates while its outbox holds a packet: the client's
+   name-service lookup waits out a one-second flush deadline while the
+   spinner on the same node keeps its shard stepping, so the lookup is
+   still buffered at the first step boundary, where the forced move
+   ships the node.  The ship flushes it before the new owner is
+   published, and the output still appears. *)
+let migration_with_buffered_outbox () =
+  let held = { config with Cluster.flush_deadline_ns = 1_000_000_000 } in
+  let placement = function "server" -> 0 | _ -> 1 in
+  let prog =
+    Api.parse
+      {| site server {
+           def S(self) = self?{ get(k) = (k![7] | S[self]) }
+           in export new svc S[svc] }
+         site client { import svc from server in
+                       new k (svc!get[k] | k?(v) = io!printi[v]) }
+         site spinner {
+           def Spin(n) = if n == 0 then io!printi[0] else Spin[n - 1]
+           in Spin[30000] } |}
+  in
+  let reference =
+    event_multiset (Api.run_program ~config:held ~placement prog).Api.outputs
+  in
+  let par =
+    Api.run_parallel ~config:held ~placement ~domains:4
+      ~force_migrations:[ (1, 3) ] prog
+  in
+  check Alcotest.int "the move installed" 1 par.Par_runner.migrations;
+  check Alcotest.(list string) "every output" reference
+    (event_multiset par.Par_runner.outputs);
+  check Alcotest.bool "clean" true par.Par_runner.clean;
+  check Alcotest.int "no dead letters" 0 par.Par_runner.dead_letters
 
 (* ------------------------------------------------------------------ *)
 (* Engine agreement over every packet kind                             *)
@@ -787,8 +915,12 @@ let tests =
     ("sharding smoke at 4 domains", `Quick, sharding_smoke);
     ("handoff batching invariants", `Quick, handoff_batching_invariants);
     ("shard stats and metrics merge", `Quick, shard_stats_and_metrics);
-    ("rejects deterministic-only modes", `Quick,
-     rejects_deterministic_only_modes);
+    ("rejects migration with shard state", `Quick,
+     rejects_migration_with_shard_state);
+    ("reliable + faults equivalence", `Quick, reliable_faults_equivalence);
+    ("one shard is the cluster", `Quick, one_shard_is_the_cluster);
+    ("migration with buffered outbox", `Quick,
+     migration_with_buffered_outbox);
     ("choose migration properties", `Quick, choose_migration_properties);
     ("rebalance equivalence", `Quick, rebalance_equivalence);
     ("forced migration accounting", `Quick, forced_migration_accounting);

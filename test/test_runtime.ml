@@ -825,8 +825,29 @@ let tcp_runner_survives_bad_frames () =
     (Output.same_multiset expected r.Tcp_runner.outputs);
   check Alcotest.int "malformed frames" 3 r.Tcp_runner.malformed_frames
 
+(* A node whose loop raises — here the dynamic protocol error of a
+   message the receiving object does not understand — stops the run at
+   once, and the failure surfaces as an [Api.Error] naming the node
+   instead of a raw exception after the whole timeout. *)
+let tcp_runner_node_failure () =
+  let src =
+    {| site a { export new p p?{ good() = nil } }
+       site b { import p from a in p!bad[] } |}
+  in
+  let units = Api.compile (Api.parse src) in
+  let t0 = Unix.gettimeofday () in
+  (match Tcp_runner.run ~nodes:2 ~timeout_ms:20_000 units with
+  | _ -> Alcotest.fail "node failure not reported"
+  | exception Api.Error (Api.Runtime_error m) ->
+      check Alcotest.bool ("names node 0: " ^ m) true
+        (String.length m > 14 && String.sub m 0 14 = "node 0 failed:"));
+  check Alcotest.bool "well before the timeout" true
+    (Unix.gettimeofday () -. t0 < 5.)
+
 let tcp_tests =
   [ ("tcp transport: paper programs", `Slow, tcp_runner_paper_programs);
+    ("tcp transport: node failure is an Api.Error", `Quick,
+     tcp_runner_node_failure);
     ("tcp transport: packets flow", `Quick, tcp_runner_packets_flow);
     ("tcp transport: single node", `Quick, tcp_runner_single_node);
     ("tcp transport: survives bad frames", `Quick,

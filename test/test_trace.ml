@@ -312,6 +312,20 @@ let archive_malformed () =
   check Alcotest.bool "truncated" true (raises "TYCT");
   check Alcotest.bool "empty" true (raises "")
 
+(* The archive decoder under mutation (bit flips, truncation,
+   splices, rewritten length varints): it returns an archive that
+   survives re-serialization, or raises [Wire.Malformed]. *)
+let archive_fuzz () =
+  let blob src = Trace.serialize (tracer (run src)) in
+  let seeds = [ blob fetch_src; blob ship_src ] in
+  let test =
+    Test_net.decoder_fuzz ~name:"archive decoder under mutation" ~seeds
+      ~decode:Trace.deserialize
+      ~encode:(fun ar -> Trace.serialize (Trace.of_archive ar))
+  in
+  let _, _, run_it = test in
+  run_it ()
+
 (* ------------------------------------------------------------------ *)
 (* Packet trailer wire compatibility                                   *)
 
@@ -570,4 +584,5 @@ let tests =
     ( "parallel: domains 1 trace bit-identical",
       `Quick,
       par_domains1_trace_bit_identical );
-    ("parallel: domains 4 traced", `Quick, par_domains4_traced) ]
+    ("parallel: domains 4 traced", `Quick, par_domains4_traced);
+    ("archive decoder under mutation", `Quick, archive_fuzz) ]
