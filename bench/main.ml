@@ -26,14 +26,14 @@ let row fmt = Format.printf fmt
 
    --smoke   reduced iteration counts (CI-friendly wall clock)
    --json    additionally write the recorded measurements as a flat
-             JSON object (default BENCH_PR10.json; override with --out)
+             JSON object (default BENCH_PR14.json; override with --out)
 
    Keys are flat ("e1_vm_ns_per_reduction") so shell pipelines can
    extract them without a JSON parser. *)
 
 let smoke = ref false
 let json_mode = ref false
-let json_path = ref "BENCH_PR10.json"
+let json_path = ref "BENCH_PR14.json"
 let json_kvs : (string * string) list ref = ref [] (* newest first *)
 
 let record k v = json_kvs := (k, v) :: !json_kvs
@@ -351,12 +351,12 @@ let e7 () =
             if c s > c best then s else best)
           (List.hd sites) sites
       in
-      let d = Stats.dist (Site.stats site) "thread_len" in
-      row "  %-10s %8d %8.1f %8.0f %8.0f %8.0f@." name (Stats.Dist.count d)
-        (Stats.Dist.mean d)
-        (Stats.Dist.percentile d 0.5)
-        (Stats.Dist.percentile d 0.95)
-        (Stats.Dist.max d))
+      let d = Stats.hist (Site.stats site) "thread_len" in
+      row "  %-10s %8d %8.1f %8.0f %8.0f %8d@." name (Stats.Hist.count d)
+        (Stats.Hist.mean d)
+        (Stats.Hist.percentile d 0.5)
+        (Stats.Hist.percentile d 0.95)
+        (Stats.Hist.max d))
     programs
 
 (* ------------------------------------------------------------------ *)

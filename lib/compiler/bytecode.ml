@@ -17,8 +17,7 @@ let encode_captures enc caps =
   Array.iter (Wire.varint enc) caps
 
 let decode_captures dec =
-  let n = Wire.read_varint dec in
-  Array.init n (fun _ -> Wire.read_varint dec)
+  Array.init (Wire.read_count dec "captures") (fun _ -> Wire.read_varint dec)
 
 let encode_instr enc (ins : Instr.t) =
   match ins with
@@ -162,21 +161,21 @@ let encode_unit enc (u : Block.unit_) =
   Wire.varint enc u.entry
 
 let decode_unit dec : Block.unit_ =
-  let nblocks = Wire.read_varint dec in
+  let nblocks = Wire.read_count dec "blocks" in
   let blocks =
     Array.init nblocks (fun blk_id ->
         let blk_name = Wire.read_string dec in
         let blk_nparams = Wire.read_varint dec in
         let blk_nslots = Wire.read_varint dec in
-        let ninstrs = Wire.read_varint dec in
+        let ninstrs = Wire.read_count dec "instructions" in
         let blk_code = Array.init ninstrs (fun _ -> decode_instr dec) in
         { Block.blk_id; blk_name; blk_nparams; blk_nslots; blk_code })
   in
-  let nmts = Wire.read_varint dec in
+  let nmts = Wire.read_count dec "method tables" in
   let mtables =
     Array.init nmts (fun mt_id ->
         let mt_captures = decode_captures dec in
-        let n = Wire.read_varint dec in
+        let n = Wire.read_count dec "method entries" in
         let mt_entries =
           Array.init n (fun _ ->
               let me_label = Wire.read_string dec in
@@ -186,11 +185,11 @@ let decode_unit dec : Block.unit_ =
         in
         { Block.mt_id; mt_captures; mt_entries })
   in
-  let ngroups = Wire.read_varint dec in
+  let ngroups = Wire.read_count dec "groups" in
   let groups =
     Array.init ngroups (fun grp_id ->
         let grp_captures = decode_captures dec in
-        let n = Wire.read_varint dec in
+        let n = Wire.read_count dec "classes" in
         let grp_classes =
           Array.init n (fun _ ->
               let cls_name = Wire.read_string dec in
@@ -204,7 +203,10 @@ let decode_unit dec : Block.unit_ =
   let entry = Wire.read_varint dec in
   let u = { Block.blocks; mtables; groups; entry } in
   (* Dynamic checking of incoming code: every cross-reference must be
-     in range (paper §7's protocol-error detection). *)
+     in range (paper §7's protocol-error detection), and jumps go
+     forward only, as the compiler emits them — a thread then runs at
+     most its block's length, so it always completes and its length
+     is bounded by the code the site received. *)
   let check_block i =
     if i < 0 || i >= nblocks then
       raise (Wire.Malformed (Printf.sprintf "block reference b%d out of range" i))
@@ -213,8 +215,13 @@ let decode_unit dec : Block.unit_ =
   check_block entry;
   Array.iter
     (fun (b : Block.block) ->
-      Array.iter
-        (function
+      Array.iteri
+        (fun pc -> function
+          | Instr.Jump target | Instr.Jump_if_false target ->
+              if target <= pc then
+                raise
+                  (Wire.Malformed
+                     (Printf.sprintf "backward jump in b%d" b.blk_id))
           | Instr.Trobj mt ->
               if mt < 0 || mt >= nmts then
                 raise (Wire.Malformed "mtable reference out of range")

@@ -67,7 +67,7 @@ type t = {
 let site_stats site =
   let s = Site.stats site in
   let c name = Stats.Counter.value (Stats.counter s name) in
-  let d = Stats.dist s "thread_len" in
+  let d = Stats.hist s "thread_len" in
   let rq = Stats.dist s "runq_depth" in
   { ss_name = Site.name site;
     ss_instructions = c "instructions";
@@ -77,9 +77,9 @@ let site_stats site =
     ss_packets_out = c "packets_out";
     ss_fetches = c "fetches";
     ss_links = c "links";
-    ss_thread_len_mean = (if Stats.Dist.count d = 0 then 0. else Stats.Dist.mean d);
+    ss_thread_len_mean = Stats.Hist.mean d;
     ss_thread_len_p95 =
-      (if Stats.Dist.count d = 0 then 0. else Stats.Dist.percentile d 0.95);
+      (if Stats.Hist.count d = 0 then 0. else Stats.Hist.percentile d 0.95);
     ss_runq_depth_mean =
       (if Stats.Dist.count rq = 0 then 0. else Stats.Dist.mean rq) }
 

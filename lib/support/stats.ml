@@ -182,14 +182,116 @@ module Dist = struct
         (percentile t 0.99) (max t)
 end
 
+module Hist = struct
+  (* An exact histogram of small non-negative integers: [counts.(v)] is
+     how often [v] was added.  Adding is one array increment plus four
+     integer updates — no float conversion, no sampling, nothing
+     allocated once the array covers the values seen — so a per-thread
+     sample (instructions per thread, bounded by the code size) costs
+     next to nothing and percentiles are exact at any count. *)
+  type t = {
+    name : string;
+    mutable counts : int array;
+    mutable n : int;
+    mutable sum : int;
+    mutable lo : int;
+    mutable hi : int;
+  }
+
+  let create name =
+    { name; counts = [||]; n = 0; sum = 0; lo = max_int; hi = min_int }
+
+  let grow t v =
+    let len = ref (Stdlib.max 16 (Array.length t.counts)) in
+    while !len <= v do
+      len := 2 * !len
+    done;
+    let bigger = Array.make !len 0 in
+    Array.blit t.counts 0 bigger 0 (Array.length t.counts);
+    t.counts <- bigger
+
+  let add t v =
+    if v < 0 then invalid_arg "Hist.add: negative value";
+    if v >= Array.length t.counts then grow t v;
+    Array.unsafe_set t.counts v (Array.unsafe_get t.counts v + 1);
+    t.n <- t.n + 1;
+    t.sum <- t.sum + v;
+    if v < t.lo then t.lo <- v;
+    if v > t.hi then t.hi <- v
+
+  let count t = t.n
+  let mean t = if t.n = 0 then 0. else float_of_int t.sum /. float_of_int t.n
+
+  let min t =
+    if t.n = 0 then invalid_arg "Hist.min: no samples";
+    t.lo
+
+  let max t =
+    if t.n = 0 then invalid_arg "Hist.max: no samples";
+    t.hi
+
+  (* The [k]-th smallest value (0-based) — a walk up the counts. *)
+  let nth t k =
+    let rec go v seen =
+      let seen = seen + t.counts.(v) in
+      if seen > k then v else go (v + 1) seen
+    in
+    go t.lo 0
+
+  (* Same R-7 interpolation as [Dist.percentile], over the exact
+     sorted sample set the counts stand for. *)
+  let percentile t p =
+    if t.n = 0 then invalid_arg "Hist.percentile: no samples";
+    if t.n = 1 then float_of_int t.lo
+    else begin
+      let p = if p < 0. then 0. else if p > 1. then 1. else p in
+      let h = p *. float_of_int (t.n - 1) in
+      let i = Stdlib.min (int_of_float h) (t.n - 2) in
+      let frac = h -. float_of_int i in
+      let a = float_of_int (nth t i) and b = float_of_int (nth t (i + 1)) in
+      a +. (frac *. (b -. a))
+    end
+
+  let absorb t o =
+    if o.n > 0 then begin
+      if o.hi >= Array.length t.counts then grow t o.hi;
+      for v = o.lo to o.hi do
+        t.counts.(v) <- t.counts.(v) + o.counts.(v)
+      done;
+      t.n <- t.n + o.n;
+      t.sum <- t.sum + o.sum;
+      if o.lo < t.lo then t.lo <- o.lo;
+      if o.hi > t.hi then t.hi <- o.hi
+    end
+
+  let reset t =
+    Array.fill t.counts 0 (Array.length t.counts) 0;
+    t.n <- 0;
+    t.sum <- 0;
+    t.lo <- max_int;
+    t.hi <- min_int
+
+  let pp_summary ppf t =
+    if t.n = 0 then Format.fprintf ppf "%s: (no samples)" t.name
+    else
+      Format.fprintf ppf
+        "%s: n=%d mean=%.2f min=%.2f p50=%.2f p95=%.2f p99=%.2f max=%.2f"
+        t.name t.n (mean t) (float_of_int t.lo) (percentile t 0.5)
+        (percentile t 0.95) (percentile t 0.99) (float_of_int t.hi)
+end
+
 type t = {
   counters : (string, Counter.t) Hashtbl.t;
   dists : (string, Dist.t) Hashtbl.t;
+  hists : (string, Hist.t) Hashtbl.t;
   mutable order : string list; (* registration order, newest first *)
 }
 
 let create () =
-  { counters = Hashtbl.create 16; dists = Hashtbl.create 16; order = [] }
+  { counters = Hashtbl.create 16;
+    dists = Hashtbl.create 16;
+    hists = Hashtbl.create 4;
+    order = [] }
 
 let counter t name =
   match Hashtbl.find_opt t.counters name with
@@ -209,6 +311,15 @@ let dist t name =
       t.order <- name :: t.order;
       d
 
+let hist t name =
+  match Hashtbl.find_opt t.hists name with
+  | Some h -> h
+  | None ->
+      let h = Hist.create name in
+      Hashtbl.add t.hists name h;
+      t.order <- name :: t.order;
+      h
+
 let counter_value t name =
   match Hashtbl.find_opt t.counters name with
   | Some c -> Counter.value c
@@ -221,11 +332,20 @@ let dists t = List.filter_map (Hashtbl.find_opt t.dists) (List.rev t.order)
 
 let reset t =
   Hashtbl.iter (fun _ c -> Counter.reset c) t.counters;
-  Hashtbl.iter (fun _ d -> Dist.reset d) t.dists
+  Hashtbl.iter (fun _ d -> Dist.reset d) t.dists;
+  Hashtbl.iter (fun _ h -> Hist.reset h) t.hists
 
 let pp ppf t =
   List.iter
     (fun c ->
       Format.fprintf ppf "%s = %d@." (Counter.name c) (Counter.value c))
     (counters t);
-  List.iter (fun d -> Format.fprintf ppf "%a@." Dist.pp_summary d) (dists t)
+  List.iter
+    (fun name ->
+      match Hashtbl.find_opt t.dists name with
+      | Some d -> Format.fprintf ppf "%a@." Dist.pp_summary d
+      | None -> (
+          match Hashtbl.find_opt t.hists name with
+          | Some h -> Format.fprintf ppf "%a@." Hist.pp_summary h
+          | None -> ()))
+    (List.rev t.order)

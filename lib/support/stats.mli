@@ -89,11 +89,48 @@ module Dist : sig
   val pp_summary : Format.formatter -> t -> unit
 end
 
+(** {1 Exact integer histograms} *)
+
+module Hist : sig
+  type t
+  (** Counts of small non-negative integers (e.g. instructions per
+      thread), kept exactly in an [int array] indexed by value that
+      doubles when a larger value arrives.  Unlike {!Dist} there is no
+      reservoir: every statistic is exact at any sample count, and
+      {!add} is one array increment — cheap enough to call once per VM
+      thread.  Memory is proportional to the largest value seen, so
+      use it only for values bounded by something small (code size). *)
+
+  val create : string -> t
+
+  val add : t -> int -> unit
+  (** Raises [Invalid_argument] on a negative value. *)
+
+  val count : t -> int
+  val mean : t -> float
+  (** [0.] when empty. *)
+
+  val min : t -> int
+  val max : t -> int
+  (** Both raise [Invalid_argument] when empty. *)
+
+  val percentile : t -> float -> float
+  (** The same linear interpolation between closest ranks as
+      {!Dist.percentile} (R-7), over the exact sample set, so the two
+      agree on any sample set {!Dist} still holds whole.  Raises
+      [Invalid_argument] when empty. *)
+
+  val absorb : t -> t -> unit
+  (** [absorb t o] adds [o]'s counts to [t] ([o] unchanged); exact. *)
+
+  val reset : t -> unit
+end
+
 (** {1 Registries} *)
 
 type t
-(** A named collection of counters and distributions, one per site or
-    per experiment run. *)
+(** A named collection of counters, distributions and histograms, one
+    per site or per experiment run. *)
 
 val create : unit -> t
 val counter : t -> string -> Counter.t
@@ -104,6 +141,10 @@ val counter_value : t -> string -> int
     read-only observation that does not create the counter. *)
 
 val dist : t -> string -> Dist.t
+
+val hist : t -> string -> Hist.t
+(** Idempotent, like {!counter}. *)
+
 val counters : t -> Counter.t list
 val dists : t -> Dist.t list
 val reset : t -> unit

@@ -189,10 +189,14 @@ let read_string d =
   d.pos <- d.pos + len;
   s
 
-let read_list d f =
-  let len = read_varint d in
-  if len > remaining d then fail "list: length exceeds input";
-  List.init len (fun _ -> f d)
+(* Every element takes at least one byte, so a count larger than the
+   rest of the input is a lie — reject it before allocating for it. *)
+let read_count d what =
+  let n = read_varint d in
+  if n > remaining d then fail (what ^ ": count exceeds input");
+  n
+
+let read_list d f = List.init (read_count d "list") (fun _ -> f d)
 
 let read_option d f =
   match read_u8 d with

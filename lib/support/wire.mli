@@ -76,6 +76,12 @@ val read_zint : dec -> int
 val read_bool : dec -> bool
 val read_float : dec -> float
 val read_string : dec -> string
+val read_count : dec -> string -> int
+(** [read_count d what] reads the element count that prefixes a
+    sequence.  Each element takes at least one byte, so a count above
+    {!remaining} raises [Malformed] (naming [what]) before the caller
+    allocates anything for it. *)
+
 val read_list : dec -> (dec -> 'a) -> 'a list
 val read_option : dec -> (dec -> 'a) -> 'a option
 val read_pair : dec -> (dec -> 'a) -> (dec -> 'b) -> 'a * 'b

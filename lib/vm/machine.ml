@@ -62,7 +62,7 @@ type t = {
   c_insts : Stats.Counter.t;
   c_defgroups : Stats.Counter.t;
   c_remote : Stats.Counter.t;
-  d_thread_len : Stats.Dist.t;
+  h_thread_len : Stats.Hist.t;
   d_runq_depth : Stats.Dist.t;
 }
 
@@ -91,7 +91,7 @@ let create ?(name = "site") ?(trace = Trace.disabled) ?(track = 0) area =
     c_insts = Stats.counter stats "insts";
     c_defgroups = Stats.counter stats "defgroups";
     c_remote = Stats.counter stats "remote_ops";
-    d_thread_len = Stats.dist stats "thread_len";
+    h_thread_len = Stats.hist stats "thread_len";
     d_runq_depth = Stats.dist stats "runq_depth" }
 
 let area t = t.area
@@ -138,28 +138,81 @@ let enqueue t ~parent ~block frame =
 let spawn t ~block ~env =
   enqueue t ~parent:t.cur_span ~block (frame_for t ~block ~init:env)
 
-(* Frame [args..][extra..] built with two blits — the method-fire and
-   instantiation paths, where the old [args @ Array.to_list env] rebuilt
-   both sides as lists. *)
-let spawn_call t ~parent ~block ~(args : Value.t array)
-    ~(extra : Value.t array) =
-  let blk = Link.block t.area block in
-  let na = Array.length args and ne = Array.length extra in
-  let frame =
-    Array.make (max blk.Block.blk_nslots (na + ne)) (Value.Vint 0)
-  in
-  Array.blit args 0 frame 0 na;
-  Array.blit extra 0 frame na ne;
-  enqueue t ~parent ~block frame
+(* Frames for method fires and instantiations are [args..][extra..]
+   padded to the block's slot count, where the [na] args are the values
+   [src.(base) .. src.(base + na - 1)] — the top of the operand stack,
+   read in place, or a parked message's argument array — and [extra] is
+   the closure environment.  Frames of up to 8 slots (nearly all of
+   them) are array literals: one inline initializing allocation, with
+   no C call and no write barrier.  Wider frames fall back to
+   [Array.make] and two blits. *)
+let pad = Value.Vint 0
+
+let[@inline] slot src base na (extra : Value.t array) i =
+  if i < na then Array.unsafe_get src (base + i)
+  else if i - na < Array.length extra then Array.unsafe_get extra (i - na)
+  else pad
+
+let make_frame (src : Value.t array) base na extra size : Value.t array =
+  match size with
+  | 0 -> [||]
+  | 1 -> [| slot src base na extra 0 |]
+  | 2 -> [| slot src base na extra 0; slot src base na extra 1 |]
+  | 3 ->
+      [| slot src base na extra 0; slot src base na extra 1;
+         slot src base na extra 2 |]
+  | 4 ->
+      [| slot src base na extra 0; slot src base na extra 1;
+         slot src base na extra 2; slot src base na extra 3 |]
+  | 5 ->
+      [| slot src base na extra 0; slot src base na extra 1;
+         slot src base na extra 2; slot src base na extra 3;
+         slot src base na extra 4 |]
+  | 6 ->
+      [| slot src base na extra 0; slot src base na extra 1;
+         slot src base na extra 2; slot src base na extra 3;
+         slot src base na extra 4; slot src base na extra 5 |]
+  | 7 ->
+      [| slot src base na extra 0; slot src base na extra 1;
+         slot src base na extra 2; slot src base na extra 3;
+         slot src base na extra 4; slot src base na extra 5;
+         slot src base na extra 6 |]
+  | 8 ->
+      [| slot src base na extra 0; slot src base na extra 1;
+         slot src base na extra 2; slot src base na extra 3;
+         slot src base na extra 4; slot src base na extra 5;
+         slot src base na extra 6; slot src base na extra 7 |]
+  | _ ->
+      let frame = Array.make size pad in
+      Array.blit src base frame 0 na;
+      Array.blit extra 0 frame na (Array.length extra);
+      frame
+
+let spawn_call t ~parent ~block src base na ~extra =
+  let nslots = (Link.block t.area block).Block.blk_nslots in
+  let size = max nslots (na + Array.length extra) in
+  enqueue t ~parent ~block (make_frame src base na extra size)
+
+(* The [na] args at [src.(base)] as an array of their own, for a
+   message that parks, goes remote or reaches a builtin.  An argument
+   array handed in whole by the embedder is kept as it is; the operand
+   stack is never aliased. *)
+let no_args : Value.t array = [||]
+
+let take_args t src base na =
+  if na = 0 then no_args
+  else if base = 0 && na = Array.length src && src != t.ostack then src
+  else Array.sub src base na
 
 let spawn_entry t ~entry ~io = spawn t ~block:entry ~env:[ Value.Vchan io ]
 
 (* Fire a method: the object's method table entry for interned label
-   [lid] runs with frame [args..][closure env..].  The entry is found
-   through the area's direct-mapped dispatch table — O(1), no string
-   comparison.  [parent] is the span of the {e message} half of the
-   rendez-vous: the message is what causes the method body to run. *)
-let fire_method t (obj : Value.obj) ~parent ~lid (args : Value.t array) =
+   [lid] runs with frame [args..][closure env..], the args being the
+   [na] values at [src.(base)].  The entry is found through the area's
+   direct-mapped dispatch table — O(1), no string comparison.
+   [parent] is the span of the {e message} half of the rendez-vous:
+   the message is what causes the method body to run. *)
+let fire_method t (obj : Value.obj) ~parent ~lid src base na =
   let idx = Link.method_entry t.area obj.Value.obj_mtable ~lid in
   if idx < 0 then
     err "%s: no method '%s' at object (protocol error)" t.name
@@ -168,36 +221,40 @@ let fire_method t (obj : Value.obj) ~parent ~lid (args : Value.t array) =
        else "<unknown label>");
   let mt = Link.mtable t.area obj.Value.obj_mtable in
   let entry = mt.Block.mt_entries.(idx) in
-  if entry.Block.me_nparams <> Array.length args then
+  if entry.Block.me_nparams <> na then
     err "%s: method '%s': expected %d argument(s), got %d" t.name
-      entry.Block.me_label entry.Block.me_nparams (Array.length args);
+      entry.Block.me_label entry.Block.me_nparams na;
   Stats.Counter.incr t.c_comm;
-  spawn_call t ~parent ~block:entry.Block.me_block ~args
+  spawn_call t ~parent ~block:entry.Block.me_block src base na
     ~extra:obj.Value.obj_env
 
-(* Hot path: label already interned (Trmsg operand, parked message).
-   [Obj1]/[Msg1] are the steady-state cases — a reply channel or a
-   re-parked server object holds exactly one value — and they must not
-   touch a deque: a queue only materializes when a second value parks,
-   and [Objs]/[Msgs] collapse back to the single-value state as they
-   drain, so a channel that briefly queued returns to the no-queue
-   regime. *)
-let inject_msg_id t (chan : Value.chan) ~lid (args : Value.t array) =
+(* A message about to park: counted and traced here, queued by the
+   caller. *)
+let parked_msg t ~lid args =
+  Stats.Counter.incr t.c_msgs_parked;
+  if t.tr_on then
+    Trace.emit t.tr ~ts:t.clock ~track:t.track ~span:t.cur_span
+      Trace.Msg_park;
+  { Value.msg_lid = lid; msg_args = args; msg_span = t.cur_span }
+
+(* Deliver a message whose [na] args are at [src.(base)]: the hot path
+   (label already interned — Trmsg operand, parked message).  When an
+   object waits, the method frame is built straight from [src]; the
+   args become an array of their own only if the message parks or hits
+   a builtin.  [Obj1]/[Msg1] are the steady-state cases — a reply
+   channel or a re-parked server object holds exactly one value — and
+   they must not touch a deque: a queue only materializes when a second
+   value parks, and [Objs]/[Msgs] collapse back to the single-value
+   state as they drain, so a channel that briefly queued returns to the
+   no-queue regime. *)
+let send_msg t (chan : Value.chan) ~lid src base na =
   match chan.Value.ch_state with
   | Value.Obj1 obj ->
       chan.Value.ch_state <- Value.Empty;
       if t.tr_on then
         Trace.emit t.tr ~ts:t.clock ~track:t.track ~span:t.cur_span
           Trace.Obj_unpark;
-      fire_method t obj ~parent:t.cur_span ~lid args
-  | Value.Empty ->
-      Stats.Counter.incr t.c_msgs_parked;
-      if t.tr_on then
-        Trace.emit t.tr ~ts:t.clock ~track:t.track ~span:t.cur_span
-          Trace.Msg_park;
-      chan.Value.ch_state <-
-        Value.Msg1 { Value.msg_lid = lid; msg_args = args;
-                     msg_span = t.cur_span }
+      fire_method t obj ~parent:t.cur_span ~lid src base na
   | Value.Objs q ->
       let obj = Dq.pop_front_exn q in
       if Dq.length q = 1 then
@@ -206,31 +263,25 @@ let inject_msg_id t (chan : Value.chan) ~lid (args : Value.t array) =
       if t.tr_on then
         Trace.emit t.tr ~ts:t.clock ~track:t.track ~span:t.cur_span
           Trace.Obj_unpark;
-      fire_method t obj ~parent:t.cur_span ~lid args
+      fire_method t obj ~parent:t.cur_span ~lid src base na
+  | Value.Empty ->
+      chan.Value.ch_state <-
+        Value.Msg1 (parked_msg t ~lid (take_args t src base na))
   | Value.Msg1 m1 ->
-      Stats.Counter.incr t.c_msgs_parked;
-      if t.tr_on then
-        Trace.emit t.tr ~ts:t.clock ~track:t.track ~span:t.cur_span
-          Trace.Msg_park;
       let q = Dq.create ~capacity:4 () in
       Dq.push_back q m1;
-      Dq.push_back q { Value.msg_lid = lid; msg_args = args;
-                       msg_span = t.cur_span };
+      Dq.push_back q (parked_msg t ~lid (take_args t src base na));
       chan.Value.ch_state <- Value.Msgs q
-  | Value.Msgs q ->
-      Stats.Counter.incr t.c_msgs_parked;
-      if t.tr_on then
-        Trace.emit t.tr ~ts:t.clock ~track:t.track ~span:t.cur_span
-          Trace.Msg_park;
-      Dq.push_back q { Value.msg_lid = lid; msg_args = args;
-                       msg_span = t.cur_span }
+  | Value.Msgs q -> Dq.push_back q (parked_msg t ~lid (take_args t src base na))
   | Value.Builtin handler ->
-      handler (Link.label_name t.area lid) (Array.to_list args)
+      handler (Link.label_name t.area lid)
+        (Array.to_list (take_args t src base na))
 
 (* Cold entry point for the embedding site (packet delivery, builtin
    replies): labels arrive as strings and are interned here. *)
 let inject_msg t chan label args =
-  inject_msg_id t chan ~lid:(Link.intern t.area label) (Array.of_list args)
+  let args = Array.of_list args in
+  send_msg t chan ~lid:(Link.intern t.area label) args 0 (Array.length args)
 
 let inject_obj t (chan : Value.chan) (obj : Value.obj) =
   match chan.Value.ch_state with
@@ -240,7 +291,7 @@ let inject_obj t (chan : Value.chan) (obj : Value.obj) =
         Trace.emit t.tr ~ts:t.clock ~track:t.track ~span:m.Value.msg_span
           Trace.Msg_unpark;
       fire_method t obj ~parent:m.Value.msg_span ~lid:m.Value.msg_lid
-        m.Value.msg_args
+        m.Value.msg_args 0 (Array.length m.Value.msg_args)
   | Value.Empty ->
       Stats.Counter.incr t.c_objs_parked;
       if t.tr_on then
@@ -256,7 +307,7 @@ let inject_obj t (chan : Value.chan) (obj : Value.obj) =
         Trace.emit t.tr ~ts:t.clock ~track:t.track ~span:m.Value.msg_span
           Trace.Msg_unpark;
       fire_method t obj ~parent:m.Value.msg_span ~lid:m.Value.msg_lid
-        m.Value.msg_args
+        m.Value.msg_args 0 (Array.length m.Value.msg_args)
   | Value.Obj1 o1 ->
       Stats.Counter.incr t.c_objs_parked;
       if t.tr_on then
@@ -274,15 +325,19 @@ let inject_obj t (chan : Value.chan) (obj : Value.obj) =
       Dq.push_back q obj
   | Value.Builtin _ -> err "object placed at builtin channel '%s'" chan.Value.ch_name
 
-let instantiate_args t (cls : Value.cls) (args : Value.t array) =
+(* Instantiate [cls] with the [na] args at [src.(base)]. *)
+let instantiate_from t (cls : Value.cls) src base na =
   let g = Link.group t.area cls.Value.cls_group in
   let sig_ = g.Block.grp_classes.(cls.Value.cls_index) in
-  if sig_.Block.cls_nparams <> Array.length args then
+  if sig_.Block.cls_nparams <> na then
     err "%s: class '%s': expected %d argument(s), got %d" t.name
-      sig_.Block.cls_name sig_.Block.cls_nparams (Array.length args);
+      sig_.Block.cls_name sig_.Block.cls_nparams na;
   Stats.Counter.incr t.c_insts;
-  spawn_call t ~parent:t.cur_span ~block:sig_.Block.cls_block ~args
+  spawn_call t ~parent:t.cur_span ~block:sig_.Block.cls_block src base na
     ~extra:cls.Value.cls_env
+
+let instantiate_args t cls (args : Value.t array) =
+  instantiate_from t cls args 0 (Array.length args)
 
 let instantiate t cls args = instantiate_args t cls (Array.of_list args)
 
@@ -301,6 +356,12 @@ let value_eq a b =
   | Value.Vnetref x, Value.Vnetref y -> Netref.equal x y
   | _, _ -> a == b
 
+(* Booleans are two shared values: comparisons, [Not] and [Push_bool]
+   allocate nothing. *)
+let vtrue = Value.Vbool true
+let vfalse = Value.Vbool false
+let[@inline] vbool b = if b then vtrue else vfalse
+
 let exec_binop op a b =
   match op with
   | Ast.Add -> Value.Vint (as_int a + as_int b)
@@ -312,14 +373,40 @@ let exec_binop op a b =
   | Ast.Mod ->
       let d = as_int b in
       if d = 0 then err "modulo by zero" else Value.Vint (as_int a mod d)
-  | Ast.Lt -> Value.Vbool (as_int a < as_int b)
-  | Ast.Le -> Value.Vbool (as_int a <= as_int b)
-  | Ast.Gt -> Value.Vbool (as_int a > as_int b)
-  | Ast.Ge -> Value.Vbool (as_int a >= as_int b)
-  | Ast.Eq -> Value.Vbool (value_eq a b)
-  | Ast.Neq -> Value.Vbool (not (value_eq a b))
-  | Ast.And -> Value.Vbool (as_bool a && as_bool b)
-  | Ast.Or -> Value.Vbool (as_bool a || as_bool b)
+  | Ast.Lt -> vbool (as_int a < as_int b)
+  | Ast.Le -> vbool (as_int a <= as_int b)
+  | Ast.Gt -> vbool (as_int a > as_int b)
+  | Ast.Ge -> vbool (as_int a >= as_int b)
+  | Ast.Eq -> vbool (value_eq a b)
+  | Ast.Neq -> vbool (not (value_eq a b))
+  | Ast.And -> vbool (as_bool a && as_bool b)
+  | Ast.Or -> vbool (as_bool a || as_bool b)
+
+(* An object's closure environment [env.(caps.(0)) ..], built like a
+   frame: an array literal up to 8 values, so making an object costs no
+   closure, no C call and no barriered store. *)
+let[@inline] cap (env : Value.t array) caps i = env.(Array.unsafe_get caps i)
+
+let capture env caps : Value.t array =
+  match Array.length caps with
+  | 0 -> [||]
+  | 1 -> [| cap env caps 0 |]
+  | 2 -> [| cap env caps 0; cap env caps 1 |]
+  | 3 -> [| cap env caps 0; cap env caps 1; cap env caps 2 |]
+  | 4 -> [| cap env caps 0; cap env caps 1; cap env caps 2; cap env caps 3 |]
+  | 5 ->
+      [| cap env caps 0; cap env caps 1; cap env caps 2; cap env caps 3;
+         cap env caps 4 |]
+  | 6 ->
+      [| cap env caps 0; cap env caps 1; cap env caps 2; cap env caps 3;
+         cap env caps 4; cap env caps 5 |]
+  | 7 ->
+      [| cap env caps 0; cap env caps 1; cap env caps 2; cap env caps 3;
+         cap env caps 4; cap env caps 5; cap env caps 6 |]
+  | 8 ->
+      [| cap env caps 0; cap env caps 1; cap env caps 2; cap env caps 3;
+         cap env caps 4; cap env caps 5; cap env caps 6; cap env caps 7 |]
+  | _ -> Array.map (fun slot -> env.(slot)) caps
 
 (* Operand-stack primitives over the machine-owned array. *)
 
@@ -337,18 +424,14 @@ let[@inline] pop_op t =
   t.osp <- t.osp - 1;
   Array.unsafe_get t.ostack t.osp
 
-(* Pop [n] argument values pushed left-to-right: one [Array.sub] of the
-   stack's top segment — the stack grows upward, so the segment is
-   already in argument order. *)
-let no_args : Value.t array = [||]
-
-let pop_args t n =
-  if n = 0 then no_args
-  else begin
-    if t.osp < n then err "operand stack underflow";
-    t.osp <- t.osp - n;
-    Array.sub t.ostack t.osp n
-  end
+(* Pop [n] argument values pushed left-to-right and return the index
+   of the first: the stack grows upward, so [ostack.(base) ..
+   ostack.(base + n - 1)] are the args in order, still in place for a
+   frame to be built from until the next push. *)
+let pop_base t n =
+  if t.osp < n then err "operand stack underflow";
+  t.osp <- t.osp - n;
+  t.osp
 
 let push_remote t op =
   Stats.Counter.incr t.c_remote;
@@ -374,7 +457,7 @@ let rec step t code costs env pc executed cost =
         push_op t (Value.Vint n);
         step t code costs env (pc + 1) executed cost
     | Instr.Push_bool b ->
-        push_op t (Value.Vbool b);
+        push_op t (vbool b);
         step t code costs env (pc + 1) executed cost
     | Instr.Push_str s ->
         push_op t (Value.Vstr s);
@@ -394,7 +477,7 @@ let rec step t code costs env pc executed cost =
         push_op t (Value.Vint (-as_int (pop_op t)));
         step t code costs env (pc + 1) executed cost
     | Instr.Unop Ast.Not ->
-        push_op t (Value.Vbool (not (as_bool (pop_op t))));
+        push_op t (vbool (not (as_bool (pop_op t))));
         step t code costs env (pc + 1) executed cost
     | Instr.Jump target -> step t code costs env target executed cost
     | Instr.Jump_if_false target ->
@@ -405,18 +488,18 @@ let rec step t code costs env pc executed cost =
         step t code costs env (pc + 1) executed cost
     | Instr.Trmsg { lid; argc; _ } ->
         let target = pop_op t in
-        let args = pop_args t argc in
+        let base = pop_base t argc in
         (match target with
-        | Value.Vchan c -> inject_msg_id t c ~lid args
+        | Value.Vchan c -> send_msg t c ~lid t.ostack base argc
         | Value.Vnetref r ->
-            push_remote t (Rmsg (r, Link.label_name t.area lid, args))
+            push_remote t
+              (Rmsg (r, Link.label_name t.area lid,
+                     take_args t t.ostack base argc))
         | v -> err "trmsg target is %s, not a channel" (Value.type_name v));
         step t code costs env (pc + 1) executed cost
     | Instr.Trobj mt_id -> (
         let mt = Link.mtable t.area mt_id in
-        let captured =
-          Array.map (fun slot -> env.(slot)) mt.Block.mt_captures
-        in
+        let captured = capture env mt.Block.mt_captures in
         let obj = { Value.obj_mtable = mt_id; obj_env = captured } in
         match pop_op t with
         | Value.Vchan c ->
@@ -447,10 +530,11 @@ let rec step t code costs env pc executed cost =
         step t code costs env (pc + 1) executed cost
     | Instr.Instof argc ->
         let target = pop_op t in
-        let args = pop_args t argc in
+        let base = pop_base t argc in
         (match target with
-        | Value.Vclass c -> instantiate_args t c args
-        | Value.Vclassref r -> push_remote t (Rfetch (r, args))
+        | Value.Vclass c -> instantiate_from t c t.ostack base argc
+        | Value.Vclassref r ->
+            push_remote t (Rfetch (r, take_args t t.ostack base argc))
         | v -> err "instof target is %s, not a class" (Value.type_name v));
         step t code costs env (pc + 1) executed cost
     | Instr.Export_name x -> (
@@ -510,7 +594,7 @@ let run t ~budget =
         Trace.emit t.tr ~ts:start ~dur:c ~track:t.track ~span:th.t_span
           (Trace.Run_slice { instrs = n; cost = c });
       Stats.Counter.add t.c_instr n;
-      Stats.Dist.add_int t.d_thread_len n;
+      Stats.Hist.add t.h_thread_len n;
       executed := !executed + n;
       cost := !cost + c
     end

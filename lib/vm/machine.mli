@@ -95,10 +95,6 @@ val inject_msg : t -> Value.chan -> string -> Value.t list -> unit
     into the area's label table here.  The VM's own hot paths carry the
     interned id and never re-hash the string. *)
 
-val inject_msg_id : t -> Value.chan -> lid:int -> Value.t array -> unit
-(** Hot-path variant of {!inject_msg} for callers that already hold the
-    interned label id (see {!Tyco_compiler.Link.intern}). *)
-
 val inject_obj : t -> Value.chan -> Value.obj -> unit
 
 val instantiate : t -> Value.cls -> Value.t list -> unit
@@ -131,8 +127,8 @@ val pending_remote_ops : t -> int
 
 val stats : t -> Tyco_support.Stats.t
 (** Counters: [instructions], [threads], [comm_local], [msgs_parked],
-    [objs_parked], [insts], [defgroups], [remote_ops];
-    distributions [thread_len] (instructions per thread — experiment
-    E7's granularity evidence) and [runq_depth] (run-queue length
-    sampled at each [run] call — deep queues are the latency-hiding
-    evidence of paper §5). *)
+    [objs_parked], [insts], [defgroups], [remote_ops]; the exact
+    histogram [thread_len] ({!Tyco_support.Stats.hist}: instructions
+    per thread — experiment E7's granularity evidence); and the
+    distribution [runq_depth] (run-queue length sampled at each [run]
+    call — deep queues are the latency-hiding evidence of paper §5). *)

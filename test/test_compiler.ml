@@ -148,7 +148,73 @@ let bytecode_rejects_bad_refs () =
   check Alcotest.bool "entry out of range" true
     (match Bytecode.unit_of_string s with
     | exception Tyco_support.Wire.Malformed _ -> true
-    | _ -> false)
+    | _ -> false);
+  (* a jump back makes a thread that may never complete *)
+  let looping =
+    { Block.blk_id = 0; blk_name = "loop"; blk_nparams = 0; blk_nslots = 0;
+      blk_code = [| Instr.Push_int 1; Instr.Jump 0 |] }
+  in
+  let s = Bytecode.unit_to_string { u with Block.blocks = [| looping |];
+                                           entry = 0 } in
+  check Alcotest.string "backward jump" "backward jump in b0"
+    (match Bytecode.unit_of_string s with
+    | exception Tyco_support.Wire.Malformed m -> m
+    | _ -> "accepted")
+
+(* A count prefix is untrusted: a frame a few bytes long that claims
+   2^40 blocks (or instructions, tables, entries, groups, classes,
+   captures, type nodes) must be rejected as [Malformed] before
+   anything is allocated for the claim.  Each frame carries one valid
+   element first, so a decoder that trusted the count would get past
+   its first element and size its array from the claim. *)
+let decoders_bound_counts_by_input () =
+  let module Wire = Tyco_support.Wire in
+  let huge = 1 lsl 40 in
+  let frame f =
+    let enc = Wire.encoder () in
+    f enc;
+    Wire.to_string enc
+  in
+  let v = Wire.varint in
+  let empty_block enc = Wire.string enc "b"; v enc 0; v enc 0; v enc 0 in
+  let one_block enc = v enc 1; empty_block enc in
+  let unit_of s = ignore (Bytecode.unit_of_string s) in
+  let cases =
+    [ ("blocks", unit_of,
+       frame (fun e -> v e huge; empty_block e));
+      ("instructions", unit_of,
+       frame (fun e -> v e 1; Wire.string e "b"; v e 0; v e 0; v e huge;
+                       Wire.u8 e 1; Wire.bool e true));
+      ("method tables", unit_of,
+       frame (fun e -> one_block e; v e huge; v e 0; v e 0));
+      ("method entries", unit_of,
+       frame (fun e -> one_block e; v e 1; v e 0; v e huge;
+                       Wire.string e "m"; v e 0; v e 0));
+      ("captures", unit_of,
+       frame (fun e -> one_block e; v e 1; v e huge; v e 0));
+      ("groups", unit_of,
+       frame (fun e -> one_block e; v e 0; v e huge; v e 0; v e 0; v e 0));
+      ("classes", unit_of,
+       frame (fun e -> one_block e; v e 0; v e 1; v e 0; v e huge;
+                       Wire.string e "C"; v e 0; v e 0));
+      ("rtti nodes",
+       (fun s -> ignore (Tyco_types.Rtti.decode (Wire.decoder s))),
+       frame (fun e -> v e huge; Wire.u8 e 1)) ]
+  in
+  List.iter
+    (fun (what, decode, s) ->
+      let before = Gc.allocated_bytes () in
+      let malformed =
+        match decode s with
+        | exception Wire.Malformed _ -> true
+        | _ -> false
+      in
+      let allocated = Gc.allocated_bytes () -. before in
+      check Alcotest.bool (what ^ ": malformed") true malformed;
+      check Alcotest.bool
+        (Printf.sprintf "%s: %.0f bytes allocated, under 1 MB" what allocated)
+        true (allocated < 1e6))
+    cases
 
 let bytecode_compact () =
   (* the compactness claim (E2): byte-code is smaller than the source *)
@@ -253,6 +319,7 @@ let tests =
     ("bytecode roundtrip", `Quick, bytecode_roundtrip);
     ("bytecode rejects garbage", `Quick, bytecode_rejects_garbage);
     ("bytecode rejects bad refs", `Quick, bytecode_rejects_bad_refs);
+    ("decoders bound counts by input", `Quick, decoders_bound_counts_by_input);
     ("bytecode compact", `Quick, bytecode_compact);
     ("extraction closure", `Quick, extraction_closure);
     ("extraction group", `Quick, extraction_group);

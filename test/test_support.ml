@@ -226,6 +226,122 @@ let prng_split_independent () =
   done;
   check Alcotest.bool "streams diverge" true (!diffs > 10)
 
+(* The SplitMix64 stream is part of every seeded run's identity (fault
+   schedules, jitter, generated workloads), so its first outputs are
+   pinned exactly: any change to how the state is stored or stepped
+   must leave these bit-identical. *)
+let prng_pinned_outputs () =
+  let seed = 42 in
+  let first32 f = List.init 32 (fun _ -> f ()) in
+  let g = Prng.create seed in
+  check (Alcotest.list Alcotest.int) "int"
+    [ 707901357; 478109794; 342191872; 668283657; 231233783; 114363965;
+      575572137; 167659341; 572550172; 96634786; 967892839; 657236705;
+      646532501; 267184196; 60175621; 599478540; 831332161; 617648762;
+      642594802; 946569750; 392924156; 838258437; 160627517; 470629729;
+      412618308; 818699688; 286715124; 495627206; 631308962; 280723252;
+      310881603; 832984901 ]
+    (first32 (fun () -> Prng.int g 1_000_000_007));
+  let g = Prng.create seed in
+  check (Alcotest.list (Alcotest.float 0.)) "float"
+    [ 0x1.7bae644c5fd6dp-1; 0x1.477f199d93378p-3; 0x1.1d499d5c4c3e6p-2;
+      0x1.607387fc392b8p-2; 0x1.378b0b448904p-5; 0x1.bc8863f47901bp-1;
+      0x1.bf4b38e229bb4p-3; 0x1.99ec6bdd3d3c5p-1; 0x1.5c16e1dc2cf5ep-2;
+      0x1.3ca9ae7052feep-1; 0x1.a3a39253bad8cp-3; 0x1.f8d2283914594p-2;
+      0x1.06dbdb12fe7c8p-1; 0x1.0a3f2ee68fdadp-1; 0x1.548fc63805cf1p-1;
+      0x1.a0a2962a6be18p-3; 0x1.a83d752f35eb8p-4; 0x1.fb64000fd9fe6p-2;
+      0x1.7eadff448a868p-4; 0x1.60bd943452e57p-1; 0x1.ea268896c8ab4p-1;
+      0x1.2b3a6dd261f68p-4; 0x1.331b1f6201942p-1; 0x1.3d58eba8a8e99p-1;
+      0x1.2fc33f229b7b8p-4; 0x1.1c3a9f8de6438p-2; 0x1.7be4b62a0c415p-1;
+      0x1.922cfc331f733p-1; 0x1.e2444c639b90dp-1; 0x1.636b3e36a6b0bp-1;
+      0x1.946edb428427bp-1; 0x1.ae582d24a13a5p-1 ]
+    (first32 (fun () -> Prng.float g 1.0));
+  let g = Prng.create seed in
+  check Alcotest.string "bool" "11000010101001001110011101111110"
+    (String.concat ""
+       (first32 (fun () -> if Prng.bool g then "1" else "0")));
+  let int64s = Alcotest.list Alcotest.int64 in
+  let g = Prng.create seed in
+  check int64s "split"
+    [ 0xc5a57e8172f0a9d2L; 0x6471f70293f908ceL; 0xa619cc616692bfabL;
+      0xcf166d564ac11075L; 0x37de24ada9d8eaf9L; 0xfb6d0c02759f5cceL;
+      0xba9353d7a5910d28L; 0xe8c6d27d9f987204L; 0x0ef255869b42b33fL;
+      0x009120d21d0da7a9L; 0x841e97866074a455L; 0xef549edd4120b020L;
+      0x2db946c7c448c97eL; 0xe48821f4fa24501dL; 0x9260696102b29ddbL;
+      0x28fc15398ec1eb38L; 0x3904723d954ce5feL; 0x1141d90c32d7c6f3L;
+      0x7a2fe98d8f2a71ccL; 0xff609e073d88d88dL; 0xc53500f220d1b7aeL;
+      0x6b78b37e9452863bL; 0x42f6e81c806ccb36L; 0xce1fe575441a1c23L;
+      0x7c2491f9befae364L; 0xf1f1efbcfbdbda6dL; 0xf1a52c1b36344f7eL;
+      0x202b2d92bf1cdd0eL; 0xee42e3304080c3a4L; 0xb3c97a57ee57f961L;
+      0x144a38fd11621eeaL; 0x94cf55c2204ec263L ]
+    (first32 (fun () -> Prng.next (Prng.split g)));
+  check int64s "for_owner"
+    [ 0x57e1faba65107204L; 0xfc991bca1a1aa1aeL; 0x0018a66858653d4bL;
+      0x3304d23db2a8b503L; 0x9162aea6bfa4c3d5L; 0x10f2c5a401ed042aL;
+      0xc81e7327cf51cb2aL; 0x001dcf1b277a0c18L; 0x0c4292e221dc4866L;
+      0x2dcb1ce7fa579700L; 0xd4403a5bfe881589L; 0xfadd8f88cda98380L;
+      0xe1433d99b12e9d88L; 0xcf970be8c71845afL; 0xab7fdf1b1fa59acbL;
+      0x74ddb1f8b6f21f71L; 0x28d2a8f16c1ec662L; 0xe8bbc79d1db60661L;
+      0x41d0c787300902eeL; 0x0a494cf7bf761cbeL; 0x8bd7d04826ab6319L;
+      0x19885f775322ce12L; 0xbd2f47f2221c0218L; 0xbfcac2c85b351a7cL;
+      0x770a5ac534d552f3L; 0x1256225f0d5de9c5L; 0x44c2e99e131903e1L;
+      0x4158fa092de937d4L; 0x8461870d9cc7fe36L; 0x363cb719054741d0L;
+      0xd9b73fa54cb33520L; 0xc28506db34ff85acL ]
+    (List.init 32 (fun owner -> Prng.next (Prng.for_owner ~seed ~owner)));
+  (* two more seeds, through a digest of the same five streams *)
+  let digest seed =
+    let b = Buffer.create 1024 in
+    let add fmt = Printf.bprintf b fmt in
+    let g = Prng.create seed in
+    for _ = 1 to 32 do add "%d," (Prng.int g 1_000_000_007) done;
+    let g = Prng.create seed in
+    for _ = 1 to 32 do add "%h," (Prng.float g 1.0) done;
+    let g = Prng.create seed in
+    for _ = 1 to 32 do add "%s" (if Prng.bool g then "1" else "0") done;
+    let g = Prng.create seed in
+    for _ = 1 to 32 do add "%Lx," (Prng.next (Prng.split g)) done;
+    for owner = 0 to 31 do
+      add "%Lx," (Prng.next (Prng.for_owner ~seed ~owner))
+    done;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  check Alcotest.string "digest, seed 42" "ffcf33489a823fc014744276b3ba9688"
+    (digest 42);
+  check Alcotest.string "digest, seed -1" "dfa44f7af4dc955b9ca2d4a951007d76"
+    (digest (-1));
+  check Alcotest.string "digest, seed 0" "09af38ebfe87ba07f24454cfef214edf"
+    (digest 0)
+
+(* Drawing allocates nothing: every faulty transmission and every
+   reservoir replacement draws, so an Int64 box per draw (6 words per
+   [int], 8 per [float] with a boxed state) would be paid on those
+   paths.  A [float] result still needs its own 2-word box wherever
+   the call is not inlined (as in this unoptimized test build);
+   nothing else. *)
+let prng_draws_allocate_nothing () =
+  let g = Prng.create 9 in
+  let sink = ref 0 in
+  let draws = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to draws do
+    sink := !sink + Prng.int g 1000;
+    if Prng.bool g then incr sink
+  done;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.bool
+    (Printf.sprintf "%.0f minor words for %d int+bool draws (sink %d)" words
+       (2 * draws) !sink)
+    true (words = 0.);
+  let before = Gc.minor_words () in
+  for _ = 1 to draws do
+    if Prng.float g 1.0 < 0.5 then incr sink
+  done;
+  let per_draw = (Gc.minor_words () -. before) /. float_of_int draws in
+  check Alcotest.bool
+    (Printf.sprintf "%.1f minor words per float draw, at most the result box"
+       per_draw)
+    true (per_draw <= 2.)
+
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 
@@ -401,6 +517,106 @@ let stats_reservoir_deterministic () =
   check Alcotest.bool "same retained samples across runs" true
     (fill () = fill ())
 
+(* The exact histogram against the reservoir: on any integer sample set
+   the reservoir still holds whole (<= 8192 samples) every statistic
+   agrees bit for bit; past that the histogram stays exact where the
+   reservoir samples. *)
+let hist_matches_dist () =
+  let g = Prng.create 17 in
+  List.iter
+    (fun n ->
+      let h = Stats.Hist.create "h" and d = Stats.Dist.create "d" in
+      for _ = 1 to n do
+        (* thread-length-like: mostly short, a long tail *)
+        let v =
+          if Prng.int g 10 = 0 then Prng.int g 400 else Prng.int g 20
+        in
+        Stats.Hist.add h v;
+        Stats.Dist.add_int d v
+      done;
+      let ctx what = Printf.sprintf "%s, n=%d" what n in
+      check Alcotest.int (ctx "count") (Stats.Dist.count d)
+        (Stats.Hist.count h);
+      check (Alcotest.float 0.) (ctx "mean") (Stats.Dist.mean d)
+        (Stats.Hist.mean h);
+      check (Alcotest.float 0.) (ctx "min") (Stats.Dist.min d)
+        (float_of_int (Stats.Hist.min h));
+      check (Alcotest.float 0.) (ctx "max") (Stats.Dist.max d)
+        (float_of_int (Stats.Hist.max h));
+      List.iter
+        (fun p ->
+          check (Alcotest.float 0.)
+            (ctx (Printf.sprintf "p%g" (100. *. p)))
+            (Stats.Dist.percentile d p) (Stats.Hist.percentile h p))
+        [ 0.; 0.01; 0.25; 0.5; 0.9; 0.95; 0.99; 0.999; 1. ])
+    [ 1; 2; 3; 10; 101; 1000; 8192 ]
+
+let hist_exact_past_reservoir () =
+  let h = Stats.Hist.create "h" in
+  (* 0..99 each 1000 times: 100k samples *)
+  for _ = 1 to 1000 do
+    for v = 0 to 99 do
+      Stats.Hist.add h v
+    done
+  done;
+  check Alcotest.int "count" 100_000 (Stats.Hist.count h);
+  check (Alcotest.float 0.) "mean" 49.5 (Stats.Hist.mean h);
+  check Alcotest.int "min" 0 (Stats.Hist.min h);
+  check Alcotest.int "max" 99 (Stats.Hist.max h);
+  (* sorted sample k (0-based) is k / 1000; R-7 at p: h = p * 99999 *)
+  let exact p =
+    let hh = p *. 99999. in
+    let i = int_of_float hh in
+    let a = float_of_int (i / 1000) and b = float_of_int ((i + 1) / 1000) in
+    a +. ((hh -. float_of_int i) *. (b -. a))
+  in
+  List.iter
+    (fun p ->
+      check (Alcotest.float 0.) (Printf.sprintf "p%g" (100. *. p)) (exact p)
+        (Stats.Hist.percentile h p))
+    [ 0.; 0.5; 0.95; 0.99; 0.999 ];
+  check (Alcotest.float 0.) "p100" 99. (Stats.Hist.percentile h 1.);
+  check Alcotest.bool "empty percentile raises" true
+    (match Stats.Hist.percentile (Stats.Hist.create "e") 0.5 with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  check Alcotest.bool "negative value raises" true
+    (match Stats.Hist.add h (-1) with
+    | exception Invalid_argument _ -> true
+    | () -> false)
+
+let hist_absorb_exact () =
+  let a = Stats.Hist.create "a" and b = Stats.Hist.create "b" in
+  let both = Stats.Hist.create "both" in
+  for i = 0 to 20_000 do
+    let v = i * 7 mod 13 in
+    Stats.Hist.add a v;
+    Stats.Hist.add both v
+  done;
+  for i = 0 to 9_000 do
+    let v = 5 + (i mod 300) in
+    Stats.Hist.add b v;
+    Stats.Hist.add both v
+  done;
+  Stats.Hist.absorb a b;
+  check Alcotest.int "count" (Stats.Hist.count both) (Stats.Hist.count a);
+  check (Alcotest.float 0.) "mean" (Stats.Hist.mean both) (Stats.Hist.mean a);
+  check Alcotest.int "min" (Stats.Hist.min both) (Stats.Hist.min a);
+  check Alcotest.int "max" (Stats.Hist.max both) (Stats.Hist.max a);
+  List.iter
+    (fun p ->
+      check (Alcotest.float 0.) (Printf.sprintf "p%g" (100. *. p))
+        (Stats.Hist.percentile both p) (Stats.Hist.percentile a p))
+    [ 0.; 0.5; 0.95; 0.99; 1. ];
+  check Alcotest.int "absorbed side unchanged" 9_001 (Stats.Hist.count b);
+  Stats.Hist.absorb a (Stats.Hist.create "empty");
+  check Alcotest.int "empty absorb" (Stats.Hist.count both)
+    (Stats.Hist.count a);
+  Stats.Hist.reset a;
+  check Alcotest.int "reset" 0 (Stats.Hist.count a);
+  Stats.Hist.add a 3;
+  check (Alcotest.float 0.) "after reset" 3. (Stats.Hist.percentile a 0.5)
+
 (* ------------------------------------------------------------------ *)
 (* Heap                                                                *)
 
@@ -484,6 +700,8 @@ let tests =
     prng_bounds;
     prng_shuffle_permutation;
     ("prng split independence", `Quick, prng_split_independent);
+    ("prng pinned outputs", `Quick, prng_pinned_outputs);
+    ("prng draws allocate nothing", `Quick, prng_draws_allocate_nothing);
     ("stats counters", `Quick, stats_counters);
     ("stats percentiles", `Quick, stats_percentiles);
     ("stats absorb", `Quick, stats_absorb);
@@ -492,6 +710,9 @@ let tests =
     ("stats empty percentile", `Quick, stats_empty_percentile);
     ("stats reservoir bounded+exact", `Quick, stats_reservoir);
     ("stats reservoir deterministic", `Quick, stats_reservoir_deterministic);
+    ("hist matches dist", `Quick, hist_matches_dist);
+    ("hist exact past reservoir", `Quick, hist_exact_past_reservoir);
+    ("hist absorb exact", `Quick, hist_absorb_exact);
     heap_sorted_drain;
     ("heap fifo ties", `Quick, heap_fifo_ties);
     ("vec basic", `Quick, vec_basic);

@@ -162,6 +162,130 @@ let vm_errors () =
   check Alcotest.bool "object at builtin" true (fails "io?(v) = nil")
 
 (* ------------------------------------------------------------------ *)
+(* The spawn path: frames built from the operand stack                 *)
+
+(* Frames of up to 8 slots are array literals; wider ones take the
+   [Array.make]+blit fallback.  A 10-parameter class and a method whose
+   captures push its frame past 8 slots must see every value in
+   place. *)
+let wide_frames () =
+  let _, outs =
+    run_vm
+      {| def Wide(a, b, c, d, e, f, g, h, i, j) =
+           io!printi[a + 2 * b + 3 * c + 4 * d + 5 * e + 6 * f + 7 * g
+                     + 8 * h + 9 * i + 10 * j]
+         in Wide[1, 2, 3, 4, 5, 6, 7, 8, 9, 10] |}
+  in
+  check (Alcotest.list out_testable) "10-param class"
+    (ints "printi" [ 385 ]) outs;
+  let _, outs =
+    run_vm
+      {| def Mk(a, b, c, d, e, f, g, x) =
+           x?{ go(p, q) = io!printi[a + b + c + d + e + f + g + 100 * p
+                                    + 1000 * q] }
+         in new x (Mk[1, 2, 3, 4, 5, 6, 7, x] | x!go[1, 2]) |}
+  in
+  check (Alcotest.list out_testable) "2 args + 7 captures"
+    (ints "printi" [ 2128 ]) outs;
+  (* every size from 0 to 12 slots, instantiation and method fire *)
+  for n = 0 to 12 do
+    let params = List.init n (Printf.sprintf "p%d") in
+    let sum = String.concat " + " ("0" :: params) in
+    let args = String.concat ", " (List.init n string_of_int) in
+    let expected = n * (n - 1) / 2 in
+    let _, outs =
+      run_vm
+        (Printf.sprintf "def C(%s) = io!printi[%s] in C[%s]"
+           (String.concat ", " params) sum args)
+    in
+    check (Alcotest.list out_testable)
+      (Printf.sprintf "class of %d params" n)
+      (ints "printi" [ expected ]) outs;
+    let _, outs =
+      run_vm
+        (Printf.sprintf "new x (x?{ m(%s) = io!printi[%s] } | x!m[%s])"
+           (String.concat ", " params) sum args)
+    in
+    check (Alcotest.list out_testable)
+      (Printf.sprintf "method of %d params" n)
+      (ints "printi" [ expected ]) outs
+  done
+
+(* Arity errors keep their exact messages on both spawn paths (reached
+   with the type checker out of the way). *)
+let spawn_arity_messages () =
+  let message src =
+    match run_vm src with
+    | exception Machine.Error m -> m
+    | _ -> "no error"
+  in
+  check Alcotest.string "instantiation"
+    "site: class 'C': expected 2 argument(s), got 1"
+    (message "def C(a, b) = nil in C[1]");
+  check Alcotest.string "method fire from the stack"
+    "site: method 'a': expected 1 argument(s), got 3"
+    (message "new x (x?{ a(u) = nil } | x!a[1, 2, 3])");
+  check Alcotest.string "method fire from a parked message"
+    "site: method 'a': expected 1 argument(s), got 0"
+    (message "new x (x!a[] | x?{ a(u) = nil })")
+
+(* A message that finds its object waiting fires straight from the
+   operand stack; one that parks keeps an argument array of its own.
+   Both orders must give the same outputs, wide frames included. *)
+let fire_and_park_agree () =
+  let obj k =
+    Printf.sprintf
+      {| x?{ m(a, b, c) = io!printi[a + 10 * b + 100 * c + %d],
+            w(a, b, c, d, e, f, g, h, i) =
+              io!printi[a + b + c + d + e + f + g + h + i + %d] } |}
+      k k
+  in
+  let objs = obj 1000 ^ " | " ^ obj 2000 in
+  let msgs = "x!m[1, 2, 3] | x!w[1, 2, 3, 4, 5, 6, 7, 8, 9]" in
+  let obj_first = snd (run_vm (Printf.sprintf "new x (%s | %s)" objs msgs)) in
+  let msg_first = snd (run_vm (Printf.sprintf "new x (%s | %s)" msgs objs)) in
+  check (Alcotest.list out_testable) "objects waiting"
+    (ints "printi" [ 1321; 2045 ]) obj_first;
+  check (Alcotest.list out_testable) "messages parked"
+    (ints "printi" [ 1321; 2045 ]) msg_first
+
+(* Allocation budget of the VM step loop on a fixed Crunch-style loop
+   (threads of 15 instructions, each instantiating the next).  What is
+   left per iteration is the thread record, its frame and the boxed
+   integers the arithmetic produces: 1.40 minor words per instruction
+   measured in this (unoptimized test) build, against 2.17 before
+   frames came straight from the operand stack, booleans were shared
+   and the thread-length histogram went exact.  The bound is the
+   measured value plus ~20%. *)
+let minor_words_per_instruction_bound = 1.7
+
+let crunch_allocation_budget () =
+  let src =
+    {| def Crunch(n, acc, k) =
+         if n == 0 then k![acc] else Crunch[n - 1, acc + n % 7, k]
+       in new k (Crunch[20000, 0, k] | k?(v) = io!printi[v]) |}
+  in
+  let unit_ = Compile.compile_proc (Parser.parse_proc src) in
+  let area, entry = Link.of_unit unit_ in
+  let vm = Machine.create area in
+  let outs = ref [] in
+  let io = Machine.builtin_chan vm "io" (fun _ args -> outs := args) in
+  Machine.spawn_entry vm ~entry ~io;
+  let before = Gc.minor_words () in
+  let instrs, _ = Machine.run vm ~budget:max_int in
+  let words = Gc.minor_words () -. before in
+  let per_instr = words /. float_of_int instrs in
+  let expected = ref 0 in
+  for n = 1 to 20000 do
+    expected := !expected + (n mod 7)
+  done;
+  check Alcotest.bool "ran to the end" true (!outs = [ Value.Vint !expected ]);
+  if per_instr > minor_words_per_instruction_bound then
+    Alcotest.failf "%.2f minor words per instruction over %d instructions \
+                    (bound %.2f)" per_instr instrs
+      minor_words_per_instruction_bound
+
+(* ------------------------------------------------------------------ *)
 (* Remote operation surfacing                                          *)
 
 let run_site_program site_name src =
@@ -242,9 +366,9 @@ let thread_granularity () =
            self?{ read(r) = r![v] | Cell[self, v], write(u) = Cell[self, u] }
          in new c (Cell[c, 0] | new r (c!read[r] | r?(v) = io!printi[v])) |}
   in
-  let d = Stats.dist (Machine.stats vm) "thread_len" in
+  let d = Stats.hist (Machine.stats vm) "thread_len" in
   check Alcotest.bool "threads are tens of instructions" true
-    (Stats.Dist.count d > 0 && Stats.Dist.mean d < 100.0);
+    (Stats.Hist.count d > 0 && Stats.Hist.mean d < 100.0);
   let threads =
     Stats.Counter.value (Stats.counter (Machine.stats vm) "threads")
   in
@@ -269,4 +393,8 @@ let tests =
     ("remote message surfaces", `Quick, remote_msg_surfaces);
     ("fetch surfaces", `Quick, fetch_surfaces);
     ("run budget respected", `Quick, budget_respected);
-    ("thread granularity", `Quick, thread_granularity) ]
+    ("thread granularity", `Quick, thread_granularity);
+    ("wide frames", `Quick, wide_frames);
+    ("spawn arity messages", `Quick, spawn_arity_messages);
+    ("fire and park agree", `Quick, fire_and_park_agree);
+    ("crunch allocation budget", `Quick, crunch_allocation_budget) ]
