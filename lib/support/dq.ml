@@ -1,10 +1,12 @@
 (* Storage is a plain ['a array] with an untyped sentinel in the free
-   slots rather than an ['a option array]: the run-queue pushes and pops
-   a thread record per context switch, and the [Some] written on every
-   push (plus the one returned by every pop) was measurable allocation
-   on the E1 hot path.  The sentinel is an immediate, so [Array.make]
-   never specializes to a flat float array; popped slots are reset to it
-   so the deque does not retain popped elements. *)
+   slots rather than an ['a option array]: site inboxes, channel queues
+   and remote-op queues push and pop on every delivery, and the [Some]
+   written on every push (plus the one returned by every pop) was
+   measurable allocation on the hot path.  The sentinel is an immediate,
+   so [Array.make] never specializes to a flat float array; popped slots
+   are reset to it so the deque does not retain popped elements.  The
+   capacity is always a power of two, so a ring index is a [land] with
+   [capacity - 1] rather than an integer division. *)
 
 type 'a t = {
   mutable buf : 'a array;
@@ -14,13 +16,19 @@ type 'a t = {
 
 let sentinel : 'a. unit -> 'a = fun () -> Obj.magic 0
 
+(* The least power of two [>= n] (and [>= 1]); past
+   [Sys.max_array_length] it stops and [Array.make] rejects it. *)
+let pow2_at_least n =
+  let rec go c = if c >= n || c > Sys.max_array_length then c else go (2 * c) in
+  go 1
+
 let create ?(capacity = 16) () =
-  let capacity = max capacity 1 in
+  let capacity = pow2_at_least capacity in
   { buf = Array.make capacity (sentinel ()); head = 0; len = 0 }
 
 let length t = t.len
 let is_empty t = t.len = 0
-let index t i = (t.head + i) mod Array.length t.buf
+let[@inline] index t i = (t.head + i) land (Array.length t.buf - 1)
 
 let grow t =
   let cap = Array.length t.buf in
@@ -38,8 +46,7 @@ let push_back t x =
 
 let push_front t x =
   if t.len = Array.length t.buf then grow t;
-  let cap = Array.length t.buf in
-  t.head <- (t.head + cap - 1) mod cap;
+  t.head <- index t (-1);
   t.buf.(t.head) <- x;
   t.len <- t.len + 1
 
@@ -82,6 +89,6 @@ let to_list t =
   !acc
 
 let of_list xs =
-  let t = create ~capacity:(max 1 (List.length xs)) () in
+  let t = create ~capacity:(List.length xs) () in
   List.iter (push_back t) xs;
   t

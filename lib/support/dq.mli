@@ -1,13 +1,15 @@
 (** Mutable growable ring-buffer deques.
 
-    The virtual machine's run-queue and the sites' incoming/outgoing
-    queues are hot paths: the VM context-switches every few tens of
-    instructions (paper §1), so enqueue/dequeue must be O(1) with no
-    allocation in the steady state. *)
+    The sites' incoming/outgoing queues, channel queues and the VM's
+    remote-op queue are hot paths: the VM context-switches every few
+    tens of instructions (paper §1), so enqueue/dequeue must be O(1)
+    with no allocation (and no integer division) in the steady state. *)
 
 type 'a t
 
 val create : ?capacity:int -> unit -> 'a t
+(** [capacity] (default 16) is rounded up to a power of two. *)
+
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 

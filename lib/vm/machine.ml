@@ -25,18 +25,33 @@ exception Error of string
 
 let err fmt = Format.kasprintf (fun m -> raise (Error m)) fmt
 
-type thread = { t_block : int; t_env : Value.t array; t_span : Trace.span }
-
+(* The run queue is three parallel power-of-two rings indexed by
+   [(rq_head + i) land (capacity - 1)]: each thread is a block id in an
+   [int array] and a frame, plus a span only while tracing.  Spawning a
+   thread therefore allocates nothing but its frame, and with tracing
+   off [rq_span] stays empty and is never read or written. *)
 type t = {
   name : string;
   area : Link.area;
-  runq : thread Dq.t;
+  mutable rq_block : int array;
+  mutable rq_env : Value.t array array;
+  mutable rq_span : Trace.span array;
+  mutable rq_head : int;
+  mutable rq_len : int;
   remote : (remote_op * Trace.span) Dq.t;
   mutable chan_uid : int;
   (* Operand stack, shared by all threads of this machine: a thread runs
-     to completion and leaves the stack empty, so one growable array
-     replaces a freshly-consed list per thread. *)
+     to completion and leaves the stack empty, so the arrays are reused
+     rather than consed per thread.  Slot [i] is either a boxed value in
+     [ostack.(i)] or an int or boolean in the unboxed lane [olane.(i)];
+     [otags.[i]] says which.  Literals and the results of arithmetic,
+     comparisons and [not] live in the lane, so they are never
+     allocated and never stored through the write barrier; a lane value
+     is boxed only when it leaves the stack (frames, [Store], messages
+     that park, go remote or reach a builtin). *)
   mutable ostack : Value.t array;
+  mutable olane : int array;
+  mutable otags : Bytes.t;
   mutable osp : int;
   (* Causal tracing (off by default: [tr] is [Trace.disabled], every
      guard is one load-and-branch, and spans stay [null_span]).
@@ -66,17 +81,32 @@ type t = {
   d_runq_depth : Stats.Dist.t;
 }
 
+let pad = Value.Vint 0
+let no_frame : Value.t array = [||]
+
+(* Operand-stack slot tags. *)
+let tag_box = '\000'
+let tag_int = '\001'
+let tag_bool = '\002'
+
 let create ?(name = "site") ?(trace = Trace.disabled) ?(track = 0) area =
   let stats = Stats.create () in
+  let tr_on = Trace.enabled trace in
   { name;
     area;
-    runq = Dq.create ();
+    rq_block = Array.make 64 0;
+    rq_env = Array.make 64 no_frame;
+    rq_span = (if tr_on then Array.make 64 Trace.null_span else [||]);
+    rq_head = 0;
+    rq_len = 0;
     remote = Dq.create ();
     chan_uid = 0;
-    ostack = Array.make 64 (Value.Vint 0);
+    ostack = Array.make 64 pad;
+    olane = Array.make 64 0;
+    otags = Bytes.make 64 tag_box;
     osp = 0;
     tr = trace;
-    tr_on = Trace.enabled trace;
+    tr_on;
     track;
     clock = 0;
     cur_span = Trace.null_span;
@@ -112,96 +142,138 @@ let builtin_chan t name handler =
   c.Value.ch_state <- Value.Builtin handler;
   c
 
+(* Booleans leave the stack as one of two shared values. *)
+let vtrue = Value.Vbool true
+let vfalse = Value.Vbool false
+
 (* Make a frame for a block: the given initial values fill the first
    slots, the rest are padded (uninitialized locals). *)
 let frame_for t ~block ~init =
   let blk = Link.block t.area block in
   let n = blk.Block.blk_nslots in
-  let frame = Array.make (max n (List.length init)) (Value.Vint 0) in
+  let frame = Array.make (max n (List.length init)) pad in
   List.iteri (fun i v -> frame.(i) <- v) init;
   frame
+
+let grow_runq t =
+  let cap = Array.length t.rq_block in
+  let mask = cap - 1 in
+  let blocks = Array.make (2 * cap) 0 in
+  let envs = Array.make (2 * cap) no_frame in
+  let spans = if t.tr_on then Array.make (2 * cap) Trace.null_span else [||] in
+  for i = 0 to t.rq_len - 1 do
+    let k = (t.rq_head + i) land mask in
+    blocks.(i) <- t.rq_block.(k);
+    envs.(i) <- t.rq_env.(k);
+    if t.tr_on then spans.(i) <- t.rq_span.(k)
+  done;
+  t.rq_block <- blocks;
+  t.rq_env <- envs;
+  t.rq_span <- spans;
+  t.rq_head <- 0
 
 (* All thread creation funnels through here: the new thread's span is a
    child of [parent] (the spawning thread, or the delivery context the
    site installed with [set_current_span]). *)
 let enqueue t ~parent ~block frame =
-  let sp =
-    if t.tr_on then begin
-      let sp = Trace.fresh_span t.tr ~parent in
-      Trace.emit t.tr ~ts:t.clock ~track:t.track ~span:sp Trace.Thread_spawn;
-      sp
-    end
-    else Trace.null_span
-  in
-  Dq.push_back t.runq { t_block = block; t_env = frame; t_span = sp }
+  if t.rq_len = Array.length t.rq_block then grow_runq t;
+  let i = (t.rq_head + t.rq_len) land (Array.length t.rq_block - 1) in
+  Array.unsafe_set t.rq_block i block;
+  Array.unsafe_set t.rq_env i frame;
+  if t.tr_on then begin
+    let sp = Trace.fresh_span t.tr ~parent in
+    Trace.emit t.tr ~ts:t.clock ~track:t.track ~span:sp Trace.Thread_spawn;
+    Array.unsafe_set t.rq_span i sp
+  end;
+  t.rq_len <- t.rq_len + 1
 
 let spawn t ~block ~env =
   enqueue t ~parent:t.cur_span ~block (frame_for t ~block ~init:env)
 
+(* The boxed form of operand-stack slot [j]: a lane value is boxed here,
+   as it leaves the stack.  Inlined, so that building a frame calls
+   nothing and keeps its values in registers. *)
+let[@inline] box_lane t j =
+  let n = Array.unsafe_get t.olane j in
+  if Bytes.unsafe_get t.otags j = tag_int then Value.Vint n
+  else if n <> 0 then vtrue
+  else vfalse
+
+let[@inline] stack_value t j =
+  if Bytes.unsafe_get t.otags j = tag_box then Array.unsafe_get t.ostack j
+  else box_lane t j
+
 (* Frames for method fires and instantiations are [args..][extra..]
    padded to the block's slot count, where the [na] args are the values
-   [src.(base) .. src.(base + na - 1)] — the top of the operand stack,
-   read in place, or a parked message's argument array — and [extra] is
-   the closure environment.  Frames of up to 8 slots (nearly all of
-   them) are array literals: one inline initializing allocation, with
-   no C call and no write barrier.  Wider frames fall back to
-   [Array.make] and two blits. *)
-let pad = Value.Vint 0
-
-let[@inline] slot src base na (extra : Value.t array) i =
-  if i < na then Array.unsafe_get src (base + i)
+   [src.(base) .. src.(base + na - 1)] and [extra] is the closure
+   environment.  [src] is either the operand stack itself — read in
+   place, boxing lane slots on the way — or a plain argument array (a
+   parked message's, or one the embedder handed in).  Frames of up to 8
+   slots (nearly all of them) are array literals: one inline
+   initializing allocation, with no C call and no write barrier.  Wider
+   frames fall back to [Array.make] and copies. *)
+let[@inline] slot t on_stack src base na (extra : Value.t array) i =
+  if i < na then begin
+    let j = base + i in
+    if on_stack && Bytes.unsafe_get t.otags j <> tag_box then box_lane t j
+    else Array.unsafe_get src j
+  end
   else if i - na < Array.length extra then Array.unsafe_get extra (i - na)
   else pad
 
-let make_frame (src : Value.t array) base na extra size : Value.t array =
+let make_frame t (src : Value.t array) base na extra size : Value.t array =
+  let s = src == t.ostack in
   match size with
   | 0 -> [||]
-  | 1 -> [| slot src base na extra 0 |]
-  | 2 -> [| slot src base na extra 0; slot src base na extra 1 |]
+  | 1 -> [| slot t s src base na extra 0 |]
+  | 2 -> [| slot t s src base na extra 0; slot t s src base na extra 1 |]
   | 3 ->
-      [| slot src base na extra 0; slot src base na extra 1;
-         slot src base na extra 2 |]
+      [| slot t s src base na extra 0; slot t s src base na extra 1;
+         slot t s src base na extra 2 |]
   | 4 ->
-      [| slot src base na extra 0; slot src base na extra 1;
-         slot src base na extra 2; slot src base na extra 3 |]
+      [| slot t s src base na extra 0; slot t s src base na extra 1;
+         slot t s src base na extra 2; slot t s src base na extra 3 |]
   | 5 ->
-      [| slot src base na extra 0; slot src base na extra 1;
-         slot src base na extra 2; slot src base na extra 3;
-         slot src base na extra 4 |]
+      [| slot t s src base na extra 0; slot t s src base na extra 1;
+         slot t s src base na extra 2; slot t s src base na extra 3;
+         slot t s src base na extra 4 |]
   | 6 ->
-      [| slot src base na extra 0; slot src base na extra 1;
-         slot src base na extra 2; slot src base na extra 3;
-         slot src base na extra 4; slot src base na extra 5 |]
+      [| slot t s src base na extra 0; slot t s src base na extra 1;
+         slot t s src base na extra 2; slot t s src base na extra 3;
+         slot t s src base na extra 4; slot t s src base na extra 5 |]
   | 7 ->
-      [| slot src base na extra 0; slot src base na extra 1;
-         slot src base na extra 2; slot src base na extra 3;
-         slot src base na extra 4; slot src base na extra 5;
-         slot src base na extra 6 |]
+      [| slot t s src base na extra 0; slot t s src base na extra 1;
+         slot t s src base na extra 2; slot t s src base na extra 3;
+         slot t s src base na extra 4; slot t s src base na extra 5;
+         slot t s src base na extra 6 |]
   | 8 ->
-      [| slot src base na extra 0; slot src base na extra 1;
-         slot src base na extra 2; slot src base na extra 3;
-         slot src base na extra 4; slot src base na extra 5;
-         slot src base na extra 6; slot src base na extra 7 |]
+      [| slot t s src base na extra 0; slot t s src base na extra 1;
+         slot t s src base na extra 2; slot t s src base na extra 3;
+         slot t s src base na extra 4; slot t s src base na extra 5;
+         slot t s src base na extra 6; slot t s src base na extra 7 |]
   | _ ->
       let frame = Array.make size pad in
-      Array.blit src base frame 0 na;
+      if s then
+        for i = 0 to na - 1 do
+          Array.unsafe_set frame i (stack_value t (base + i))
+        done
+      else Array.blit src base frame 0 na;
       Array.blit extra 0 frame na (Array.length extra);
       frame
 
 let spawn_call t ~parent ~block src base na ~extra =
   let nslots = (Link.block t.area block).Block.blk_nslots in
   let size = max nslots (na + Array.length extra) in
-  enqueue t ~parent ~block (make_frame src base na extra size)
+  enqueue t ~parent ~block (make_frame t src base na extra size)
 
 (* The [na] args at [src.(base)] as an array of their own, for a
    message that parks, goes remote or reaches a builtin.  An argument
    array handed in whole by the embedder is kept as it is; the operand
-   stack is never aliased. *)
-let no_args : Value.t array = [||]
-
+   stack is never aliased, and its lane values are boxed here. *)
 let take_args t src base na =
-  if na = 0 then no_args
-  else if base = 0 && na = Array.length src && src != t.ostack then src
+  if na = 0 then no_frame
+  else if src == t.ostack then make_frame t src base na no_frame na
+  else if base = 0 && na = Array.length src then src
   else Array.sub src base na
 
 let spawn_entry t ~entry ~io = spawn t ~block:entry ~env:[ Value.Vchan io ]
@@ -344,9 +416,6 @@ let instantiate t cls args = instantiate_args t cls (Array.of_list args)
 (* ------------------------------------------------------------------ *)
 (* Instruction execution.                                              *)
 
-let as_int = function Value.Vint n -> n | v -> err "expected int, got %s" (Value.type_name v)
-let as_bool = function Value.Vbool b -> b | v -> err "expected bool, got %s" (Value.type_name v)
-
 let value_eq a b =
   match (a, b) with
   | Value.Vint x, Value.Vint y -> Int.equal x y
@@ -355,32 +424,6 @@ let value_eq a b =
   | Value.Vchan x, Value.Vchan y -> Value.same_chan x y
   | Value.Vnetref x, Value.Vnetref y -> Netref.equal x y
   | _, _ -> a == b
-
-(* Booleans are two shared values: comparisons, [Not] and [Push_bool]
-   allocate nothing. *)
-let vtrue = Value.Vbool true
-let vfalse = Value.Vbool false
-let[@inline] vbool b = if b then vtrue else vfalse
-
-let exec_binop op a b =
-  match op with
-  | Ast.Add -> Value.Vint (as_int a + as_int b)
-  | Ast.Sub -> Value.Vint (as_int a - as_int b)
-  | Ast.Mul -> Value.Vint (as_int a * as_int b)
-  | Ast.Div ->
-      let d = as_int b in
-      if d = 0 then err "division by zero" else Value.Vint (as_int a / d)
-  | Ast.Mod ->
-      let d = as_int b in
-      if d = 0 then err "modulo by zero" else Value.Vint (as_int a mod d)
-  | Ast.Lt -> vbool (as_int a < as_int b)
-  | Ast.Le -> vbool (as_int a <= as_int b)
-  | Ast.Gt -> vbool (as_int a > as_int b)
-  | Ast.Ge -> vbool (as_int a >= as_int b)
-  | Ast.Eq -> vbool (value_eq a b)
-  | Ast.Neq -> vbool (not (value_eq a b))
-  | Ast.And -> vbool (as_bool a && as_bool b)
-  | Ast.Or -> vbool (as_bool a || as_bool b)
 
 (* An object's closure environment [env.(caps.(0)) ..], built like a
    frame: an array literal up to 8 values, so making an object costs no
@@ -408,30 +451,134 @@ let capture env caps : Value.t array =
          cap env caps 4; cap env caps 5; cap env caps 6; cap env caps 7 |]
   | _ -> Array.map (fun slot -> env.(slot)) caps
 
-(* Operand-stack primitives over the machine-owned array. *)
+(* Operand-stack primitives over the machine-owned arrays.  Pushes
+   check capacity and grow the three arrays together; an operator pops
+   its operands by lowering [osp] ([pop_index]) and reads them in place,
+   so its result can overwrite the first operand's slot. *)
+
+let grow_stack t =
+  let n = Array.length t.ostack in
+  let ostack = Array.make (2 * n) pad in
+  Array.blit t.ostack 0 ostack 0 n;
+  let olane = Array.make (2 * n) 0 in
+  Array.blit t.olane 0 olane 0 n;
+  let otags = Bytes.make (2 * n) tag_box in
+  Bytes.blit t.otags 0 otags 0 n;
+  t.ostack <- ostack;
+  t.olane <- olane;
+  t.otags <- otags
 
 let[@inline] push_op t v =
-  (if t.osp = Array.length t.ostack then begin
-     let bigger = Array.make (2 * Array.length t.ostack) (Value.Vint 0) in
-     Array.blit t.ostack 0 bigger 0 t.osp;
-     t.ostack <- bigger
-   end);
-  Array.unsafe_set t.ostack t.osp v;
-  t.osp <- t.osp + 1
+  let sp = t.osp in
+  if sp = Array.length t.ostack then grow_stack t;
+  Array.unsafe_set t.ostack sp v;
+  Bytes.unsafe_set t.otags sp tag_box;
+  t.osp <- sp + 1
 
-let[@inline] pop_op t =
+(* Write lane slot [j] (below the stack's capacity). *)
+let[@inline] set_lane t j tag n =
+  Array.unsafe_set t.olane j n;
+  Bytes.unsafe_set t.otags j tag
+
+let[@inline] push_lane t tag n =
+  let sp = t.osp in
+  if sp = Array.length t.ostack then grow_stack t;
+  set_lane t sp tag n;
+  t.osp <- sp + 1
+
+let[@inline] pop_index t =
   if t.osp = 0 then err "operand stack underflow";
   t.osp <- t.osp - 1;
-  Array.unsafe_get t.ostack t.osp
+  t.osp
+
+let[@inline] pop_op t = stack_value t (pop_index t)
 
 (* Pop [n] argument values pushed left-to-right and return the index
-   of the first: the stack grows upward, so [ostack.(base) ..
-   ostack.(base + n - 1)] are the args in order, still in place for a
-   frame to be built from until the next push. *)
+   of the first: the stack grows upward, so slots [base .. base + n - 1]
+   are the args in order, still in place for a frame to be built from
+   until the next push. *)
 let pop_base t n =
   if t.osp < n then err "operand stack underflow";
   t.osp <- t.osp - n;
   t.osp
+
+(* Typed reads of slot [j]: a lane value of the right kind or a boxed
+   one, inline; anything else is a type error, raised out of line with
+   the message of the boxed [Value.type_name]. *)
+let not_int t j =
+  if Bytes.unsafe_get t.otags j = tag_box then
+    err "expected int, got %s" (Value.type_name (Array.unsafe_get t.ostack j))
+  else err "expected int, got bool"
+
+let not_bool t j =
+  if Bytes.unsafe_get t.otags j = tag_box then
+    err "expected bool, got %s" (Value.type_name (Array.unsafe_get t.ostack j))
+  else err "expected bool, got int"
+
+let[@inline] int_at t j =
+  let tag = Bytes.unsafe_get t.otags j in
+  if tag = tag_int then Array.unsafe_get t.olane j
+  else
+    match Array.unsafe_get t.ostack j with
+    | Value.Vint n when tag = tag_box -> n
+    | _ -> not_int t j
+
+let[@inline] bool_at t j =
+  let tag = Bytes.unsafe_get t.otags j in
+  if tag = tag_bool then Array.unsafe_get t.olane j <> 0
+  else
+    match Array.unsafe_get t.ostack j with
+    | Value.Vbool b when tag = tag_box -> b
+    | _ -> not_bool t j
+
+(* [value_eq] over slots: a lane int equals only an int, a lane boolean
+   only a boolean, whichever lane the other side is in. *)
+let lane_eq_box tag n (v : Value.t) =
+  match v with
+  | Value.Vint m -> tag = tag_int && Int.equal n m
+  | Value.Vbool b -> tag = tag_bool && Bool.equal (n <> 0) b
+  | _ -> false
+
+let slot_eq t ja jb =
+  let ta = Bytes.unsafe_get t.otags ja and tb = Bytes.unsafe_get t.otags jb in
+  if ta = tag_box then
+    if tb = tag_box then
+      value_eq (Array.unsafe_get t.ostack ja) (Array.unsafe_get t.ostack jb)
+    else
+      let n = Array.unsafe_get t.olane jb in
+      lane_eq_box tb n (Array.unsafe_get t.ostack ja)
+  else if tb = tag_box then
+    lane_eq_box ta (Array.unsafe_get t.olane ja) (Array.unsafe_get t.ostack jb)
+  else
+    ta = tb
+    && Int.equal (Array.unsafe_get t.olane ja) (Array.unsafe_get t.olane jb)
+
+(* [a op b] with [a] in slot [ja] and [b] in [jb = ja + 1], the result
+   written to slot [ja].  Operands are checked in the order the boxed
+   step loop checked them ([b] first, short-circuit for [&&]/[||]), so
+   an ill-typed program fails with the same message. *)
+let[@inline] set_int t j n = set_lane t j tag_int n
+let[@inline] set_bool t j b = set_lane t j tag_bool (Bool.to_int b)
+
+let exec_binop t op ja jb =
+  match op with
+  | Ast.Add -> let b = int_at t jb in set_int t ja (int_at t ja + b)
+  | Ast.Sub -> let b = int_at t jb in set_int t ja (int_at t ja - b)
+  | Ast.Mul -> let b = int_at t jb in set_int t ja (int_at t ja * b)
+  | Ast.Div ->
+      let d = int_at t jb in
+      if d = 0 then err "division by zero" else set_int t ja (int_at t ja / d)
+  | Ast.Mod ->
+      let d = int_at t jb in
+      if d = 0 then err "modulo by zero" else set_int t ja (int_at t ja mod d)
+  | Ast.Lt -> let b = int_at t jb in set_bool t ja (int_at t ja < b)
+  | Ast.Le -> let b = int_at t jb in set_bool t ja (int_at t ja <= b)
+  | Ast.Gt -> let b = int_at t jb in set_bool t ja (int_at t ja > b)
+  | Ast.Ge -> let b = int_at t jb in set_bool t ja (int_at t ja >= b)
+  | Ast.Eq -> set_bool t ja (slot_eq t ja jb)
+  | Ast.Neq -> set_bool t ja (not (slot_eq t ja jb))
+  | Ast.And -> set_bool t ja (bool_at t ja && bool_at t jb)
+  | Ast.Or -> set_bool t ja (bool_at t ja || bool_at t jb)
 
 let push_remote t op =
   Stats.Counter.incr t.c_remote;
@@ -454,34 +601,42 @@ let rec step t code costs env pc executed cost =
     let cost = cost + Array.unsafe_get costs pc in
     match Array.unsafe_get code pc with
     | Instr.Push_int n ->
-        push_op t (Value.Vint n);
+        push_lane t tag_int n;
         step t code costs env (pc + 1) executed cost
     | Instr.Push_bool b ->
-        push_op t (vbool b);
+        push_lane t tag_bool (Bool.to_int b);
         step t code costs env (pc + 1) executed cost
     | Instr.Push_str s ->
         push_op t (Value.Vstr s);
         step t code costs env (pc + 1) executed cost
     | Instr.Load i ->
+        (* the frame's box is pushed as it is: a loaded value that only
+           travels on (into a message or a frame) is never reboxed *)
         push_op t env.(i);
         step t code costs env (pc + 1) executed cost
     | Instr.Store i ->
         env.(i) <- pop_op t;
         step t code costs env (pc + 1) executed cost
     | Instr.Binop op ->
-        let b = pop_op t in
-        let a = pop_op t in
-        push_op t (exec_binop op a b);
+        if t.osp < 2 then err "operand stack underflow";
+        let ja = t.osp - 2 in
+        exec_binop t op ja (ja + 1);
+        t.osp <- ja + 1;
         step t code costs env (pc + 1) executed cost
     | Instr.Unop Ast.Neg ->
-        push_op t (Value.Vint (-as_int (pop_op t)));
+        let j = pop_index t in
+        set_int t j (-int_at t j);
+        t.osp <- j + 1;
         step t code costs env (pc + 1) executed cost
     | Instr.Unop Ast.Not ->
-        push_op t (vbool (not (as_bool (pop_op t))));
+        let j = pop_index t in
+        set_bool t j (not (bool_at t j));
+        t.osp <- j + 1;
         step t code costs env (pc + 1) executed cost
     | Instr.Jump target -> step t code costs env target executed cost
     | Instr.Jump_if_false target ->
-        if as_bool (pop_op t) then step t code costs env (pc + 1) executed cost
+        if bool_at t (pop_index t) then
+          step t code costs env (pc + 1) executed cost
         else step t code costs env target executed cost
     | Instr.New_chan slot ->
         env.(slot) <- Value.Vchan (new_chan t "c");
@@ -563,41 +718,49 @@ let rec step t code costs env pc executed cost =
         step t code costs env (pc + 1) executed cost
   end
 
-let run_thread t (th : thread) =
-  let code = (Link.block t.area th.t_block).Block.blk_code in
+let run_thread t block env =
+  let code = (Link.block t.area block).Block.blk_code in
   (* Per-pc costs precomputed at link time: the step loop adds an array
      element instead of re-dispatching on the instruction. *)
-  let costs = Link.costs t.area th.t_block in
+  let costs = Link.costs t.area block in
   t.osp <- 0;
-  step t code costs th.t_env 0 0 0
+  step t code costs env 0 0 0
 
-let runnable t = not (Dq.is_empty t.runq)
+let runnable t = t.rq_len > 0
 
 let run t ~budget =
   let executed = ref 0 in
   let cost = ref 0 in
-  let continue_ = ref true in
   (* run-queue depth at quantum start: the latency-hiding evidence —
      deep queues mean remote waits are being overlapped (paper §5) *)
-  Stats.Dist.add_int t.d_runq_depth (Dq.length t.runq);
-  while !continue_ && !executed < budget do
-    if Dq.is_empty t.runq then continue_ := false
-    else begin
-      let th = Dq.pop_front_exn t.runq in
-      Stats.Counter.incr t.c_threads;
-      t.cur_span <- th.t_span;
-      let start = t.clock in
-      run_thread t th;
-      let n = t.last_executed and c = t.last_cost in
-      t.clock <- start + c;
-      if t.tr_on then
-        Trace.emit t.tr ~ts:start ~dur:c ~track:t.track ~span:th.t_span
-          (Trace.Run_slice { instrs = n; cost = c });
-      Stats.Counter.add t.c_instr n;
-      Stats.Hist.add t.h_thread_len n;
-      executed := !executed + n;
-      cost := !cost + c
-    end
+  Stats.Dist.add_int t.d_runq_depth t.rq_len;
+  (* untraced, every thread runs under [null_span]: set once here
+     rather than per thread *)
+  if not t.tr_on then t.cur_span <- Trace.null_span;
+  while t.rq_len > 0 && !executed < budget do
+    let h = t.rq_head in
+    let block = Array.unsafe_get t.rq_block h in
+    let env = Array.unsafe_get t.rq_env h in
+    (* drop the queue's reference so a finished frame can be collected *)
+    Array.unsafe_set t.rq_env h no_frame;
+    t.rq_head <- (h + 1) land (Array.length t.rq_block - 1);
+    t.rq_len <- t.rq_len - 1;
+    Stats.Counter.incr t.c_threads;
+    let start = t.clock in
+    let span =
+      if t.tr_on then Array.unsafe_get t.rq_span h else Trace.null_span
+    in
+    if t.tr_on then t.cur_span <- span;
+    run_thread t block env;
+    let n = t.last_executed and c = t.last_cost in
+    t.clock <- start + c;
+    if t.tr_on then
+      Trace.emit t.tr ~ts:start ~dur:c ~track:t.track ~span
+        (Trace.Run_slice { instrs = n; cost = c });
+    Stats.Counter.add t.c_instr n;
+    Stats.Hist.add t.h_thread_len n;
+    executed := !executed + n;
+    cost := !cost + c
   done;
   t.cur_span <- Trace.null_span;
   (!executed, !cost)

@@ -19,9 +19,9 @@ let steps = 3_000
 (* ------------------------------------------------------------------ *)
 (* Dq vs a plain list used as a sequence (front = head).               *)
 
-let dq_model_agrees seed =
+let dq_model_agrees ?(capacity = 2) seed =
   let rng = Prng.for_owner ~seed ~owner:0 in
-  let dq = Dq.create ~capacity:2 () in
+  let dq = Dq.create ~capacity () in
   let model = ref [] in
   for step = 1 to steps do
     (match Prng.int rng 6 with
@@ -71,14 +71,62 @@ let dq_model_agrees seed =
       Alcotest.(check (list int)) "to_list" !model (Dq.to_list dq)
   done
 
-let dq_random () = List.iter dq_model_agrees seeds
+let dq_random () = List.iter (fun seed -> dq_model_agrees seed) seeds
+
+(* Capacities are rounded up to a power of two and indices masked; any
+   requested capacity, power of two or not, must give the same
+   sequence. *)
+let dq_capacities () =
+  List.iter
+    (fun capacity -> List.iter (dq_model_agrees ~capacity) [ 3; 1001 ])
+    [ 0; 1; 3; 5; 6; 7; 9; 12; 33; 100 ]
+
+(* A ring whose contents wrap past the end of the buffer when it grows:
+   advance the head, fill until full, then push past capacity at both
+   ends.  The order must survive every [grow]. *)
+let dq_wraparound_grow () =
+  List.iter
+    (fun capacity ->
+      List.iter
+        (fun shift ->
+          let dq = Dq.create ~capacity () in
+          let model = ref [] in
+          for i = 1 to shift do
+            Dq.push_back dq (-i);
+            ignore (Dq.pop_front_exn dq)
+          done;
+          for i = 0 to (4 * capacity) + 5 do
+            if i mod 3 = 2 then begin
+              Dq.push_front dq i;
+              model := i :: !model
+            end
+            else begin
+              Dq.push_back dq i;
+              model := !model @ [ i ]
+            end;
+            Alcotest.(check (list int))
+              (Printf.sprintf "capacity %d, shift %d, push %d" capacity shift i)
+              !model (Dq.to_list dq)
+          done;
+          List.iter
+            (fun x -> Alcotest.(check int) "drain" x (Dq.pop_front_exn dq))
+            !model;
+          Alcotest.(check bool) "drained" true (Dq.is_empty dq))
+        [ 0; 1; 2; 3; 5; 8; 13 ])
+    [ 1; 2; 3; 4; 5; 7; 8; 12 ]
 
 let dq_of_list_roundtrip () =
   List.iter
     (fun seed ->
       let rng = Prng.for_owner ~seed ~owner:1 in
       let xs = List.init (Prng.int rng 64) (fun _ -> Prng.int rng 1000) in
-      Alcotest.(check (list int)) "of_list/to_list" xs (Dq.to_list (Dq.of_list xs)))
+      let dq = Dq.of_list xs in
+      Alcotest.(check (list int)) "of_list/to_list" xs (Dq.to_list dq);
+      (* an exactly-full ring of a non-power-of-two length still grows *)
+      Dq.push_back dq 1000;
+      Dq.push_front dq (-1);
+      Alcotest.(check (list int)) "of_list then push"
+        ((-1 :: xs) @ [ 1000 ]) (Dq.to_list dq))
     seeds
 
 (* ------------------------------------------------------------------ *)
@@ -139,5 +187,7 @@ let lru_random () = List.iter lru_model_agrees seeds
 
 let tests =
   [ ("dq random ops vs model", `Quick, dq_random);
+    ("dq non-power-of-two capacities", `Quick, dq_capacities);
+    ("dq wraparound across grow", `Quick, dq_wraparound_grow);
     ("dq of_list round-trip", `Quick, dq_of_list_roundtrip);
     ("lru random ops vs model", `Quick, lru_random) ]

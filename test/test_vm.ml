@@ -251,13 +251,13 @@ let fire_and_park_agree () =
 
 (* Allocation budget of the VM step loop on a fixed Crunch-style loop
    (threads of 15 instructions, each instantiating the next).  What is
-   left per iteration is the thread record, its frame and the boxed
-   integers the arithmetic produces: 1.40 minor words per instruction
-   measured in this (unoptimized test) build, against 2.17 before
-   frames came straight from the operand stack, booleans were shared
-   and the thread-length histogram went exact.  The bound is the
-   measured value plus ~20%. *)
-let minor_words_per_instruction_bound = 1.7
+   left per iteration is the frame and the two computed integers that
+   escape into it boxed: literals, intermediate results and the branch
+   condition stay in the operand stack's unboxed lane, and the run queue
+   keeps no per-thread record.  0.60 minor words per instruction
+   measured in this (unoptimized test) build; the bound is the measured
+   value plus 20%. *)
+let minor_words_per_instruction_bound = 0.72
 
 let crunch_allocation_budget () =
   let src =
@@ -342,6 +342,206 @@ let fetch_surfaces () =
   | _ -> Alcotest.fail "expected Rfetch"
 
 (* ------------------------------------------------------------------ *)
+(* The operand stack's unboxed lane                                    *)
+
+(* Literals and arithmetic/comparison results live unboxed on the
+   operand stack; loaded values keep their frame's box.  [==]/[!=] must
+   mean the same whichever side is in which lane: ints equal ints,
+   booleans equal booleans, and an int never equals a boolean or a
+   string (no type checker here, so the mixed cases reach the VM). *)
+let bools label xs = List.map (fun b -> (label, [ Value.Vbool b ])) xs
+
+let lane_equality () =
+  let cases =
+    [ (* literal / computed / loaded ints *)
+      ("3 == 3", true); ("3 != 3", false); ("3 == 4", false);
+      ("1 + 2 == 3", true); ("3 == 6 / 2", true); ("1 + 2 != 6 / 2", false);
+      ("a == 3", true); ("3 == a", true); ("a == 1 + 2", true);
+      ("2 * 2 == a", false); ("a != 2 + 2", true); ("a == a", true);
+      ("a == b", true); ("a != b", false); ("a == c", false);
+      ("0 - 3 == -3", true);
+      (* booleans *)
+      ("true == true", true); ("true == (1 < 2)", true);
+      ("(1 > 2) == false", true); ("not t == false", true);
+      ("t == true", true); ("t == (2 > 1)", true); ("(2 > 1) != t", false);
+      ("t == f", false); ("f == (1 == 2)", true); ("t == t", true);
+      (* int against bool: false whatever the lanes *)
+      ("1 == true", false); ("0 == false", false); ("1 != true", true);
+      ("(1 < 2) == 1", false); ("a == true", false); ("t == 1", false);
+      ("t == 1 + 0", false); ("c == (0 == 1)", false); ("t != 3", true);
+      (* int against string *)
+      ("1 == \"1\"", false); ("a == s", false); ("1 + 2 == s", false);
+      ("s == 3", false); ("s != a + 0", true); ("s == s", true) ]
+  in
+  let body =
+    String.concat " | "
+      (List.map (fun (e, _) -> Printf.sprintf "io!printb[%s]" e) cases)
+  in
+  let _, outs =
+    run_vm
+      (Printf.sprintf
+         {| new x (x![3, 3, 0, true, false, "3"]
+            | x?(a, b, c, t, f, s) = (%s)) |}
+         body)
+  in
+  check (Alcotest.list out_testable) "equalities"
+    (bools "printb" (List.map snd cases)) outs
+
+let vm_error src =
+  match run_vm src with exception Machine.Error m -> m | _ -> "no error"
+
+(* Type errors from the lane or from a loaded box give the messages the
+   boxed step loop gave, operand order included ([b] of [a op b] is
+   checked first, [&&]/[||] short-circuit). *)
+let lane_error_messages () =
+  let expect msg src = check Alcotest.string src msg (vm_error src) in
+  let loaded e =
+    Printf.sprintf
+      "new x (x![1, true, \"s\", 0] | x?(i, b, s, z) = io!print[%s])" e
+  in
+  expect "expected int, got bool" "io!printi[1 + true]";
+  expect "expected int, got bool" "io!printi[true - 1]";
+  expect "expected int, got bool" "io!printi[(1 < 2) * 3]";
+  expect "expected int, got bool" "io!printi[-true]";
+  expect "expected int, got bool" "io!printb[1 < (2 == 2)]";
+  expect "expected int, got bool" (loaded "i + b");
+  expect "expected int, got bool" (loaded "b >= 1");
+  expect "expected int, got string" "io!printi[\"a\" + 1]";
+  expect "expected int, got string" "io!printi[true + \"a\"]";
+  expect "expected int, got bool" "io!printi[\"a\" + true]";
+  expect "expected int, got string" (loaded "b * s");
+  expect "expected bool, got int" "io!printb[not 1]";
+  expect "expected bool, got int" "io!printb[not (1 + 1)]";
+  expect "expected bool, got int" "io!printb[1 && true]";
+  expect "expected bool, got int" "io!printb[true && 1]";
+  expect "expected bool, got int" "io!printb[false || 2 * 2]";
+  expect "expected bool, got int" (loaded "not i");
+  expect "expected bool, got int" (loaded "b && i");
+  expect "expected bool, got string" (loaded "s || b");
+  expect "expected bool, got int"
+    "if 1 + 1 then io!printi[1] else io!printi[2]";
+  expect "expected bool, got int"
+    "new x (x![0] | x?(v) = if v then nil else nil)";
+  expect "no error" "io!printb[false && 1]";
+  expect "no error" "io!printb[true || 1]";
+  expect "division by zero" "io!printi[1 / 0]";
+  expect "division by zero" "io!printi[7 / (2 - 2)]";
+  expect "division by zero" (loaded "i / z");
+  expect "division by zero" "io!printi[true / 0]";
+  expect "modulo by zero" "io!printi[1 % 0]";
+  expect "modulo by zero" "io!printi[7 % (3 * 0)]";
+  expect "modulo by zero" (loaded "s % z");
+  expect "expected int, got bool" "io!printi[1 / true]";
+  expect "expected int, got bool" "io!printi[true % 2]"
+
+(* Computed values escape the lane boxed: into frames of every size
+   (instantiation and method fire), into a message that parks alone
+   ([Msg1]) or queued ([Msgs]), into a builtin and into a remote
+   message. *)
+let lane_escapes () =
+  for n = 1 to 12 do
+    (* argument i is loaded (a) for odd i, computed (a * i + i) for even *)
+    let arg i = if i mod 2 = 1 then "a" else Printf.sprintf "a * %d + %d" i i in
+    let value i = if i mod 2 = 1 then 5 else (5 * i) + i in
+    let params = List.init n (Printf.sprintf "p%d") in
+    let weighted =
+      String.concat " + "
+        (List.mapi (fun i p -> Printf.sprintf "%d * %s" (i + 1) p) params)
+    in
+    let expected =
+      List.fold_left ( + ) 0 (List.init n (fun i -> (i + 1) * value i))
+    in
+    let args = String.concat ", " (List.init n arg) in
+    let params = String.concat ", " params in
+    let run src = snd (run_vm src) in
+    check (Alcotest.list out_testable)
+      (Printf.sprintf "instantiation, %d computed/loaded args" n)
+      (ints "printi" [ expected ])
+      (run (Printf.sprintf
+              "def C(%s) = io!printi[%s] in def D(a) = C[%s] in D[5]"
+              params weighted args));
+    check (Alcotest.list out_testable)
+      (Printf.sprintf "method fire, %d computed/loaded args" n)
+      (ints "printi" [ expected ])
+      (run (Printf.sprintf
+              "new x (x?{ m(%s) = io!printi[%s] } | def D(a) = x!m[%s] in D[5])"
+              params weighted args));
+    check (Alcotest.list out_testable)
+      (Printf.sprintf "parked Msg1 then Msgs, %d computed/loaded args" n)
+      (ints "printi" [ expected; expected + 1 ])
+      (run (Printf.sprintf
+              "new x (def D(a) = (x!m[%s] | x!m[%s]) in D[5] \
+               | def O(k) = x?{ m(%s) = (io!printi[%s + k] | O[k + 1]) } \
+               in O[0])"
+              args args params weighted))
+  done;
+  let _, outs =
+    run_vm
+      "io!printi[6 * 7] | io!printb[2 < 1] \
+       | new x (x![40] | x?(v) = io!printi[v + 2])"
+  in
+  check (Alcotest.list out_testable) "builtin"
+    [ ("printi", [ Value.Vint 42 ]); ("printb", [ Value.Vbool false ]);
+      ("printi", [ Value.Vint 42 ]) ]
+    outs;
+  let vm =
+    run_site_program "b"
+      {| site b { import p from a in p![20 + 22, 1 < 2, -7, "s"] } |}
+  in
+  ignore (Machine.pop_remote_op vm);
+  let r = Netref.make ~kind:Netref.Channel ~heap_id:0 ~site_id:9 ~ip:9 in
+  Machine.spawn vm ~block:1 ~env:[ Value.Vnetref r ];
+  ignore (Machine.run vm ~budget:1000);
+  match Machine.pop_remote_op vm with
+  | Some
+      (Machine.Rmsg
+        (_, "val",
+         [| Value.Vint 42; Value.Vbool true; Value.Vint (-7);
+            Value.Vstr "s" |])) -> ()
+  | _ -> Alcotest.fail "expected Rmsg with boxed computed args"
+
+(* [Store] boxes a computed value into the frame; loading it back and
+   comparing it against the lane gives the value it had. *)
+let store_computed () =
+  let u =
+    Tyco_compiler.Asm.parse
+      {|unit entry=b0
+block b0 "entry" params=1 slots=3 {
+  pushi 20
+  pushi 22
+  add
+  store 1
+  pushb true
+  not
+  store 2
+  load 1
+  load 0
+  trmsg printi/1
+  load 2
+  load 0
+  trmsg printb/1
+  load 1
+  pushi 42
+  eq
+  load 0
+  trmsg printb/1
+}
+|}
+  in
+  let area, entry = Link.of_unit u in
+  let vm = Machine.create area in
+  let outs = ref [] in
+  let io =
+    Machine.builtin_chan vm "io" (fun l args -> outs := (l, args) :: !outs)
+  in
+  Machine.spawn_entry vm ~entry ~io;
+  ignore (Machine.run vm ~budget:1000);
+  check (Alcotest.list out_testable) "stored values"
+    [ ("printi", [ Value.Vint 42 ]); ("printb", [ Value.Vbool false ]);
+      ("printb", [ Value.Vbool true ]) ]
+    (List.rev !outs)
+
+(* ------------------------------------------------------------------ *)
 (* Metrics and scheduling                                              *)
 
 let budget_respected () =
@@ -397,4 +597,8 @@ let tests =
     ("wide frames", `Quick, wide_frames);
     ("spawn arity messages", `Quick, spawn_arity_messages);
     ("fire and park agree", `Quick, fire_and_park_agree);
-    ("crunch allocation budget", `Quick, crunch_allocation_budget) ]
+    ("crunch allocation budget", `Quick, crunch_allocation_budget);
+    ("lane equality", `Quick, lane_equality);
+    ("lane error messages", `Quick, lane_error_messages);
+    ("lane escapes", `Quick, lane_escapes);
+    ("store of a computed value", `Quick, store_computed) ]
